@@ -5,6 +5,7 @@ list of piecewise-constant probability densities on [0, domain_right], a
 solution is a sorted list of cut positions plus one label per segment.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 import itertools
 import json
@@ -79,7 +80,9 @@ class Valuation:
 
     Blocks are kept sorted and non-overlapping (touching endpoints are
     fine); total mass must be exactly 1 unless require_mass_one=False
-    (used internally by rescaling helpers before renormalization).
+    (used for rescaling helpers before renormalization and for sub-
+    measures such as the blocks of one interval).  The mass check's
+    pass also builds the prefix-mass table behind cdf.
     """
 
     def __init__(self, blocks, require_mass_one=True):
@@ -88,6 +91,11 @@ class Valuation:
             if b1.left < b0.right:
                 raise ValueError("overlapping blocks %r, %r" % (b0, b1))
         self.blocks = tuple(blocks)
+        self._lefts = [b.left for b in blocks]
+        self._below = [Fraction(0)]       # _below[i] = mass of blocks[:i]
+        for b in blocks:
+            self._below.append(self._below[-1] + b.mass)
+        self.mass = self._below[-1]
         if require_mass_one and self.mass != 1:
             raise ValueError("total mass %s != 1" % (self.mass,))
 
@@ -101,10 +109,6 @@ class Valuation:
                           for b in blocks])
 
     @property
-    def mass(self):
-        return sum((b.mass for b in self.blocks), Fraction(0))
-
-    @property
     def support_left(self):
         return self.blocks[0].left
 
@@ -112,36 +116,30 @@ class Valuation:
     def support_right(self):
         return self.blocks[-1].right
 
+    def cdf(self, x):
+        """mu((-inf, x]), exactly: one bisection over the block lefts."""
+        i = bisect_right(self._lefts, x) - 1
+        if i < 0:
+            return Fraction(0)
+        b = self.blocks[i]
+        if x >= b.right:
+            return self._below[i + 1]
+        return self._below[i] + b.height * (x - b.left)
+
     def mass_between(self, a, b):
         """mu([a, b]), exactly."""
         a, b = rat(a), rat(b)
         if b < a:
             raise ValueError("reversed interval")
-        total = Fraction(0)
-        for blk in self.blocks:
-            lo = max(a, blk.left)
-            hi = min(b, blk.right)
-            if hi > lo:
-                total += blk.height * (hi - lo)
-        return total
+        return self.cdf(b) - self.cdf(a)
 
     def density_at(self, x):
         """Density at x; at a shared endpoint the right block wins."""
         x = rat(x)
-        for blk in self.blocks:
-            if blk.left <= x < blk.right:
-                return blk.height
+        i = bisect_right(self._lefts, x) - 1
+        if i >= 0 and x < self.blocks[i].right:
+            return self.blocks[i].height
         return Fraction(0)
-
-    def classify(self):
-        """One of 'single-block', 'd-block-uniform', 'piecewise-uniform',
-        'piecewise-constant'."""
-        heights = {b.height for b in self.blocks}
-        if len(self.blocks) == 1:
-            return "single-block"
-        if len(heights) == 1:
-            return "d-block-uniform"
-        return "piecewise-constant"
 
     def translate(self, dx):
         dx = rat(dx)
@@ -205,12 +203,6 @@ class Solution:
             raise ValueError("need |cuts|+1 labels, got %d for %d cuts"
                              % (len(self.labels), len(self.cuts)))
 
-    def segments(self, domain_right):
-        """Yield (left, right, label) over [0, domain_right]."""
-        edges = (Fraction(0),) + self.cuts + (rat(domain_right),)
-        for i, lab in enumerate(self.labels):
-            yield edges[i], edges[i + 1], lab
-
     def swap_labels(self):
         """k=2 sign flip."""
         table = {PLUS: MINUS, MINUS: PLUS}
@@ -257,35 +249,66 @@ class BalanceReport:
             self.max_discrepancy, self.satisfied)
 
 
-def label_masses(v, s, domain_right, label_set):
-    m = {lab: Fraction(0) for lab in label_set}
-    for a, b, lab in s.segments(domain_right):
-        if lab not in m:
-            raise ValueError("unknown label %r" % (lab,))
-        if b > a:
-            m[lab] += v.mass_between(a, b)
+def label_masses(v, cuts, labels, label_set, lo=None, hi=None):
+    """Exact mass of v on each label's part of [lo, hi] (unbounded
+    where None), as a dict over label_set.
+
+    cuts is a sorted sequence of rationals (repeats allowed) and
+    labels[i] labels the segment between cuts[i - 1] and cuts[i]; the
+    first and last segments run to -inf and +inf.  Each block of v that
+    meets [lo, hi] costs two bisections into the cuts plus one step per
+    cut strictly inside it, so the cuts between blocks are never
+    visited.  A label outside label_set on a visited segment is a
+    ValueError."""
+    m = dict.fromkeys(label_set, Fraction(0))
+    blocks = v.blocks
+    if lo is not None:
+        blocks = blocks[max(bisect_right(v._lefts, lo) - 1, 0):]
+    for blk in blocks:
+        a, b = blk.left, blk.right
+        if hi is not None and hi < b:
+            if hi <= a:
+                break
+            b = hi
+        if lo is not None and lo > a:
+            if lo >= b:
+                continue
+            a = lo
+        i = bisect_right(cuts, a)
+        j = bisect_left(cuts, b, i)
+        for y, lab in zip(list(cuts[i:j]) + [b], labels[i:j + 1]):
+            if lab not in m:
+                raise ValueError("unknown label %r" % (lab,))
+            m[lab] += blk.height * (y - a)
+            a = y
     return m
 
 
 def balance(v, s, domain_right=1):
-    """mu(I+) - mu(I-) for a two-label solution."""
-    if any(l not in (PLUS, MINUS) for l in s.labels):
-        raise ValueError("balance needs a binary +/- solution")
-    m = label_masses(v, s, domain_right, [PLUS, MINUS])
+    """mu(I+) - mu(I-) over [0, domain_right]; a label other than + and
+    - on a segment that meets v's support is a ValueError."""
+    m = label_masses(v, s.cuts, s.labels, (PLUS, MINUS), 0,
+                     rat(domain_right))
     return m[PLUS] - m[MINUS]
 
 
-def verify(inst, s, eps):
-    """Exact balance report; satisfied iff every agent's max pairwise
-    label discrepancy is <= eps."""
+def check_solution(inst, s):
+    """ValueError unless every label of s is one of inst's and every cut
+    lies in [0, domain_right]."""
     labs = inst.labels()
     for l in s.labels:
         if l not in labs:
             raise ValueError("label %r not among %r" % (l, labs))
     if s.cuts and (s.cuts[0] < 0 or s.cuts[-1] > inst.domain_right):
         raise ValueError("cut outside domain")
-    masses = [label_masses(v, s, inst.domain_right, labs)
-              for v in inst.agents]
+
+
+def verify(inst, s, eps):
+    """Exact balance report; satisfied iff every agent's max pairwise
+    label discrepancy is <= eps."""
+    check_solution(inst, s)
+    labs = inst.labels()
+    masses = [label_masses(v, s.cuts, s.labels, labs) for v in inst.agents]
     return BalanceReport(masses, eps)
 
 
@@ -293,21 +316,12 @@ def encoded_value(s, left, domain_right=None):
     """Signed Lebesgue content of the unit interval [left, left+1]:
     length labeled '+' minus length labeled '-'."""
     left = rat(left)
-    right = left + 1
-    if domain_right is not None and (left < 0 or right > rat(domain_right)):
+    if domain_right is not None and (left < 0
+                                     or left + 1 > rat(domain_right)):
         raise ValueError("interval outside domain")
-    total = Fraction(0)
-    dr = domain_right if domain_right is not None else right
-    for a, b, lab in s.segments(dr):
-        lo, hi = max(a, left), min(b, right)
-        if hi > lo:
-            if lab == PLUS:
-                total += hi - lo
-            elif lab == MINUS:
-                total -= hi - lo
-            else:
-                raise ValueError("encoded_value needs +/- labels")
-    return total
+    m = label_masses(Valuation([Block(left, left + 1, 1)]), s.cuts,
+                     s.labels, (PLUS, MINUS))
+    return m[PLUS] - m[MINUS]
 
 
 def rescale_to_unit(inst):

@@ -9,19 +9,9 @@ keep the table finite.
 """
 
 from fractions import Fraction
-import math
 
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS, rat,
                    verify)
-
-
-class GridParams:
-    def __init__(self, m):
-        self.m = int(m)
-        self.step = Fraction(1, self.m)
-
-    def points(self):
-        return [Fraction(l, self.m) for l in range(self.m)]
 
 
 class InstanceStats:
@@ -46,21 +36,6 @@ class InstanceStats:
             d = max(d, cur)
         self.d = d
         self.M = M
-
-
-def partial_balance(v, cuts, z, parity=PLUS):
-    """Signed mass of [z, 1] under alternating labels starting with
-    `parity` at z, cut at each element of cuts (all >= z)."""
-    z = rat(z)
-    sign = 1 if parity == PLUS else -1
-    edges = [z] + sorted(rat(c) for c in cuts) + [max(Fraction(1),
-                                                      v.support_right)]
-    total = Fraction(0)
-    for a, b in zip(edges, edges[1:]):
-        if b > a:
-            total += sign * v.mass_between(a, b)
-        sign = -sign
-    return total
 
 
 def round_instance(inst, eps_prime):

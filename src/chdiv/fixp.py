@@ -12,8 +12,8 @@ between intervals.
 
 from fractions import Fraction
 
-from .core import (Instance, Valuation, Block, Solution, truncate, rat,
-                   KLABELS)
+from .core import (Instance, Valuation, Block, Solution, label_masses,
+                   truncate, rat, KLABELS)
 
 
 A, B, C = KLABELS[:3]
@@ -486,14 +486,9 @@ def encoding_status(sol, left, domain_right):
     well = (len(inside) == 2
             and left + WELL_CUT_1[0] <= inside[0] <= left + WELL_CUT_1[1]
             and left + WELL_CUT_2[0] <= inside[1] <= left + WELL_CUT_2[1])
-    masses = {A: Fraction(0), B: Fraction(0), C: Fraction(0)}
-    for a, b, lab in sol.segments(domain_right):
-        if lab not in masses:
-            continue
-        for xa, xb in x_set(left):
-            lo, hi = max(a, xa), min(b, xb)
-            if hi > lo:
-                masses[lab] += hi - lo
+    xv = Valuation([Block(a, b, 1) for a, b in x_set(left)],
+                   require_mass_one=False)
+    masses = label_masses(xv, sol.cuts, sol.labels, (A, B, C))
     valid = well and masses[C] == 2
     value = (masses[A] - masses[B]) / 2 if valid else None
     return EncodingStatus(well, valid, value)
@@ -526,39 +521,17 @@ def _encode_cuts(pattern, v):
     return (3 + sigma * v, 6 + sigma * v)
 
 
-def _cum_mass(blocks, t):
-    total = Fraction(0)
-    for l, r, h in blocks:
-        lo, hi = l, min(r, t)
-        if hi > lo:
-            total += h * (hi - lo)
-    return total
-
-
-def _invert_cum(blocks, target, lo, hi):
-    """Leftmost t in [lo, hi] with cumulative block mass over [-inf, t]
-    equal to target.  Blocks must cover [lo, hi] with positive density
-    (true for anchor + X coverage), so the inverse is unique."""
-    base = _cum_mass(blocks, lo)
-    if target < base - 0 or target > _cum_mass(blocks, hi):
+def _invert_cdf(v, target, lo, hi):
+    """The t in [lo, hi] with v.cdf(t) = target.  v must have positive
+    density on all of [lo, hi] (true for anchor + X coverage), so t is
+    unique."""
+    if not v.cdf(lo) <= target <= v.cdf(hi):
         raise ValueError("balance target %s unreachable in [%s, %s]"
                          % (target, lo, hi))
-    t = lo
-    acc = base
-    for l, r, h in sorted(blocks):
-        if r <= lo:
-            continue
-        seg_l = max(l, lo)
-        seg_r = min(r, hi)
-        if seg_r <= seg_l:
-            continue
-        seg_mass = h * (seg_r - seg_l)
-        if acc + seg_mass >= target:
-            if h == 0:
-                return seg_l
-            return seg_l + (target - acc) / h
-        acc += seg_mass
-        t = seg_r
+    for blk in v.blocks:
+        if blk.right > lo and v.cdf(blk.right) >= target:
+            a = max(blk.left, lo)
+            return a + (target - v.cdf(a)) / blk.height
     return hi
 
 
@@ -572,7 +545,6 @@ def forward_place_kdiv(compiled, x):
     lay = compiled.layout
     n = lay.count
     patterns = []
-    last = A
     # the leftmost segment is labeled A, so Out1 reads A, B, C
     prev = A
     for i in range(n):
@@ -601,18 +573,11 @@ def forward_place_kdiv(compiled, x):
                 if not any(za <= l and rr <= zb for za, zb in zones):
                     raise AssertionError("input interval %d read before "
                                          "placement" % idx)
-            t1, t2 = o + 3, o + 6
+            cuts = (o + 3, o + 6)
         else:
-            t1, t2 = cuts_of[idx]
-        p, q, r = patterns[idx]
-        edges = [(o, t1, p), (t1, t2, q), (t2, o + 9, r)]
-        out = {A: Fraction(0), B: Fraction(0), C: Fraction(0)}
-        for l, rr, h in blocks:
-            for a, b, lab in edges:
-                lo, hi = max(l, a), min(rr, b)
-                if hi > lo:
-                    out[lab] += h * (hi - lo)
-        return out
+            cuts = cuts_of[idx]
+        v = Valuation([Block(*b) for b in blocks], require_mass_one=False)
+        return label_masses(v, cuts, patterns[idx], (A, B, C), o, o + 9)
 
     for g in compiled.gates:
         idx = g.out_idx
@@ -629,15 +594,13 @@ def forward_place_kdiv(compiled, x):
             for lab in acc:
                 acc[lab] += lm[lab]
         o = lay.left(idx)
-        own = [(o + a, o + b, ANCH_H) for a, b in ANCHORS] + \
-              [(l, r, h) for l, r, h in g.out_blocks]
+        own = Valuation([Block(o + a, o + b, ANCH_H) for a, b in ANCHORS]
+                        + [Block(*b) for b in g.out_blocks],
+                        require_mass_one=False)
         p, q, r = patterns[idx]
-        t1 = _invert_cum(own, third - acc[p], o, o + 9)
-        # mass for r counted from the right: invert the mirrored profile
-        mirrored = [(o + (9 - (bR - o)), o + (9 - (bL - o)), h)
-                    for bL, bR, h in own]
-        t2m = _invert_cum(mirrored, third - acc[r], o, o + 9)
-        t2 = o + 9 - (t2m - o)
+        t1 = _invert_cdf(own, third - acc[p], o, o + 9)
+        # r's share is the mass right of t2
+        t2 = _invert_cdf(own, own.cdf(o + 9) - (third - acc[r]), o, o + 9)
         if not (o + WELL_CUT_1[0] <= t1 <= o + WELL_CUT_1[1]
                 and o + WELL_CUT_2[0] <= t2 <= o + WELL_CUT_2[1]):
             raise AssertionError("gate %s cuts outside well-cut windows: "

@@ -17,7 +17,8 @@ mass, which is what drives the loop.
 
 from fractions import Fraction
 
-from .core import Instance, Solution, Valuation, Block, PLUS, MINUS
+from .core import (Instance, Solution, Valuation, Block, PLUS, MINUS,
+                   label_masses)
 
 
 HALF = Fraction(1, 2)
@@ -57,35 +58,13 @@ class GreedyState:
         i.e. an odd number of cuts meets [l, r]."""
         return sum(1 for c in self.cuts if l <= c <= r) % 2 == 1
 
-    def covered_mass(self, v):
-        return sum((v.mass_between(max(l, v.support_left),
-                                   min(r, v.support_right))
-                    for l, r in self.rrs
-                    if min(r, v.support_right) > max(l, v.support_left)),
-                   Fraction(0))
-
-    def _piece_masses(self, v, l, r):
-        """(plus, minus) mass of v on [l, r] under the current labels."""
-        edges = [l] + [c for c in self.cuts if l < c < r] + [r]
-        plus = minus = Fraction(0)
-        for a, b in zip(edges, edges[1:]):
-            m = v.mass_between(a, b)
-            below = sum(1 for c in self.cuts if c <= a)
-            if below % 2 == 0:
-                plus += m
-            else:
-                minus += m
-        return plus, minus
-
     def matched_mass(self, v):
         """Value of v inside RRs that is paired off between the labels."""
-        a, b = v.support_left, v.support_right
+        labels = [PLUS, MINUS] * (len(self.cuts) // 2 + 1)
         total = Fraction(0)
         for l, r in self.rrs:
-            lo, hi = max(l, a), min(r, b)
-            if hi > lo:
-                p, m = self._piece_masses(v, lo, hi)
-                total += 2 * min(p, m)
+            m = label_masses(v, self.cuts, labels, (PLUS, MINUS), l, r)
+            total += 2 * min(m[PLUS], m[MINUS])
         return total
 
     def gaps_in(self, a, b):

@@ -44,20 +44,6 @@ class SlotAssignment:
         if any(j < 0 or j >= m for j in self.cells):
             raise ValueError("cell index out of range")
 
-    def cell_label(self, j):
-        """Label of the cut-free part of cell j left of any cut in it."""
-        below = sum(1 for s in self.cells if s < j)
-        return PLUS if below % 2 == 0 else MINUS
-
-
-def _cell_masses(v, grid):
-    return [v.mass_between(a, b) for a, b in zip(grid, grid[1:])]
-
-
-def _cell_density(v, grid, j):
-    a, b = grid[j], grid[j + 1]
-    return v.mass_between(a, b) / (b - a)
-
 
 def lp_feasible(inst, slots):
     """Exact feasibility of placing one cut x_j in each chosen cell so
@@ -65,30 +51,18 @@ def lp_feasible(inst, slots):
     positions, or None."""
     grid = slots.grid
     cells = slots.cells
-    var = {j: t for t, j in enumerate(cells)}
     lp = LinearProgram(len(cells))
-    for j in cells:
-        lp.set_bounds(var[j], grid[j], grid[j + 1])
-    m = len(grid) - 1
+    for t, j in enumerate(cells):
+        lp.set_bounds(t, grid[j], grid[j + 1])
+    labels = [PLUS if t % 2 == 0 else MINUS for t in range(len(cells) + 1)]
     for v in inst.agents:
-        masses = _cell_masses(v, grid)
-        coeffs = {}
-        const = Fraction(0)
-        for j in range(m):
-            sign = 1 if slots.cell_label(j) == PLUS else -1
-            if j in var:
-                # [a_j, x_j] keeps the incoming label, the rest flips
-                dens = _cell_density(v, grid, j)
-                # contribution: sign*(dens*(x - a_j)) - sign*(mass - dens*(x - a_j))
-                coeffs[var[j]] = coeffs.get(var[j], Fraction(0)) + 2 * sign * dens
-                const += -sign * masses[j] - 2 * sign * dens * grid[j]
-            else:
-                const += sign * masses[j]
-        lp.add(coeffs, "=", -const)
+        forms = _label_forms(v, grid, cells, labels, (PLUS, MINUS))
+        diff = forms[PLUS].minus(forms[MINUS])
+        lp.add(diff.coeffs, "=", -diff.const)
     status, x, _ = lp.solve()
     if status != OPTIMAL:
         return None
-    return [x[var[j]] for j in cells]
+    return x
 
 
 def _solution_from_cells(slots, positions):
@@ -140,23 +114,7 @@ def refine_exact(inst, approx, eps=None):
     for t in range(T - 1):
         lp.add({t: 1, t + 1: -1}, "<=", 0)
     for v in inst.agents:
-        # mass of label L as affine form over cut variables
-        forms = {lab: _AffineForm() for lab in labs}
-        edges = [(None, Fraction(0))] + [(t, None) for t in range(T)] \
-            + [(None, inst.domain_right)]
-        for seg in range(T + 1):
-            lab = approx.labels[seg]
-            lo_var, lo_const = edges[seg]
-            hi_var, hi_const = edges[seg + 1]
-            # mu([lo, hi]) = F(hi) - F(lo); F affine on each cut's cell
-            if hi_var is None:
-                forms[lab].const += v.mass_between(0, hi_const)
-            else:
-                forms[lab].add_cdf(v, grid, cell_of[hi_var], hi_var, +1)
-            if lo_var is None:
-                forms[lab].const -= v.mass_between(0, lo_const)
-            else:
-                forms[lab].add_cdf(v, grid, cell_of[lo_var], lo_var, -1)
+        forms = _label_forms(v, grid, cell_of, approx.labels, labs)
         for l1, l2 in itertools.combinations(labs, 2):
             diff = forms[l1].minus(forms[l2])
             coeffs = dict(diff.coeffs)
@@ -178,12 +136,13 @@ class _AffineForm:
         self.const = Fraction(0)
 
     def add_cdf(self, v, grid, j, var, sign):
-        """Add sign * mu([0, x_var]) where x_var lies in cell j:
-        mu([0, x]) = mu([0, a_j]) + dens_j * (x - a_j)."""
-        a = grid[j]
-        dens = v.mass_between(grid[j], grid[j + 1]) / (grid[j + 1] - grid[j])
-        self.const += sign * (v.mass_between(0, a) - dens * a)
+        """Add sign * mu((-inf, x_var]) where x_var lies in cell j:
+        mu((-inf, x]) = mu((-inf, a_j]) + dens_j * (x - a_j)."""
+        a, b = grid[j], grid[j + 1]
+        dens = (v.cdf(b) - v.cdf(a)) / (b - a)
+        self.const += sign * (v.cdf(a) - dens * a)
         self.coeffs[var] = self.coeffs.get(var, Fraction(0)) + sign * dens
+
     def minus(self, other):
         out = _AffineForm()
         out.const = self.const - other.const
@@ -191,6 +150,19 @@ class _AffineForm:
         for k, cv in other.coeffs.items():
             out.coeffs[k] = out.coeffs.get(k, Fraction(0)) - cv
         return out
+
+
+def _label_forms(v, grid, cells, labels, label_set):
+    """Mass of v on each label as an affine form in the cut variables.
+    Cut t is variable t and stays in grid cell cells[t], whose points
+    include every breakpoint of v; segment s runs from cut s - 1 to cut
+    s (unbounded at the two ends) and carries labels[s]."""
+    forms = {lab: _AffineForm() for lab in label_set}
+    forms[labels[-1]].const += v.mass
+    for t, j in enumerate(cells):
+        forms[labels[t]].add_cdf(v, grid, j, t, +1)
+        forms[labels[t + 1]].add_cdf(v, grid, j, t, -1)
+    return forms
 
 
 def _containing_cell(grid, x):

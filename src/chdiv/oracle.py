@@ -5,7 +5,8 @@ from fractions import Fraction
 import itertools
 from math import comb, lcm
 
-from .core import (Instance, Solution, verify, PLUS, MINUS, rat)
+from .core import (Instance, Solution, BalanceReport, check_solution,
+                   label_masses, verify, PLUS, MINUS, rat)
 
 
 WORK_LIMIT = 10 ** 8
@@ -96,7 +97,7 @@ def _brute_force_alternating(inst, eps, cfg, points):
 
 
 def _int_cdfs(inst, eps, points):
-    cdfs = [[v.mass_between(0, x) for x in points] for v in inst.agents]
+    cdfs = [[v.cdf(x) for x in points] for v in inst.agents]
     D = lcm(eps.denominator,
             *[f.denominator for c in cdfs for f in c])
     return [[int(f * D) for f in c] for c in cdfs], int(eps * D)
@@ -152,6 +153,7 @@ def enumerate_gate_cuts(inst, agent_index, fixed_cuts, labels,
                         free_interval, eps, m):
     """All grid positions in free_interval for one extra cut such that
     agent agent_index is eps-satisfied, holding the other cuts fixed.
+    Only that agent's label masses are computed at each position.
 
     fixed_cuts must avoid the open free_interval; labels is the full
     segment labeling with the free cut present (len(fixed_cuts) + 2
@@ -159,14 +161,15 @@ def enumerate_gate_cuts(inst, agent_index, fixed_cuts, labels,
     Returns a list of (position, Solution) pairs.
     """
     eps = rat(eps)
+    v = inst.agents[agent_index]
     lo, hi = rat(free_interval[0]), rat(free_interval[1])
     step = (hi - lo) / m
     out = []
     for i in range(m + 1):
         x = lo + i * step
-        cuts = sorted(list(fixed_cuts) + [x])
-        s = Solution(cuts, labels)
-        rep = verify(inst, s, eps)
-        if rep.per_agent_discrepancy[agent_index] <= eps:
+        s = Solution(sorted(list(fixed_cuts) + [x]), labels)
+        check_solution(inst, s)
+        masses = label_masses(v, s.cuts, s.labels, inst.labels())
+        if BalanceReport([masses], eps).satisfied:
             out.append((x, s))
     return out

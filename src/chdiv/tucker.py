@@ -18,7 +18,7 @@ from fractions import Fraction
 from bisect import bisect_right
 
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                   rat, truncate)
+                   balance, encoded_value, rat, truncate)
 
 
 HALF = Fraction(1, 2)
@@ -462,17 +462,6 @@ class Assembler:
         return len(self.blocks)
 
 
-def make_gate(asm, kind, *args, **kwargs):
-    """Dispatcher over the Assembler gate constructors: kind is one of
-    volume, neg, const, add, copy, mul_k, not, and, or."""
-    table = {"volume": asm.volume, "neg": asm.neg, "const": asm.const,
-             "add": asm.add, "copy": asm.copy, "mul_k": asm.mul_int,
-             "not": asm.not_, "and": asm.and_, "or": asm.or_}
-    if kind not in table:
-        raise ValueError("unknown gate kind %r" % kind)
-    return table[kind](*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # full compilation
 
@@ -641,8 +630,10 @@ def forward_place(compiled, x, const_sign=1):
     """Deterministic witness: encode x in the coordinate cells, then
     give every gate agent the unique cut in its forced interval that
     balances it exactly.  Labels alternate starting with "+".
-    Requires |x_i| < 1 (strict), so each coordinate cell holds exactly
-    one cut."""
+    Requires |x_i| <= 1.  Each coordinate cell holds exactly one cut; at
+    x_i = +-1 that cut sits on an edge of the cell, so the whole cell
+    carries one label and reads +-1, and the gate agents are still
+    exactly balanced."""
     if const_sign == -1:
         sol = forward_place(compiled, [-rat(v) for v in x], 1)
         return sol.swap_labels()
@@ -707,45 +698,26 @@ def forward_place(compiled, x, const_sign=1):
 
 
 # ---------------------------------------------------------------------------
-# exact balance audits (local arithmetic; core.verify would walk every
-# segment for every agent, which is hopeless at this scale)
-
-
-def _agent_balance(v, cuts, labels):
-    """mu(I+) - mu(I-) for one agent, bisecting only the cuts inside
-    each of its blocks; exact on the Fraction cuts."""
-    bal = Fraction(0)
-    for b in v.blocks:
-        lo = bisect_right(cuts, b.left)
-        hi = bisect_right(cuts, b.right)
-        edges = [b.left] + cuts[lo:hi] + [b.right]
-        for s in range(len(edges) - 1):
-            seg = edges[s + 1] - edges[s]
-            if seg <= 0:
-                continue
-            sign = 1 if labels[lo + s] == PLUS else -1
-            bal += sign * b.height * seg
-    return bal
+# exact balance audits (core.balance bisects into the cuts once per block
+# and visits only the cuts inside it, not the whole solution)
 
 
 def balance_report(compiled, sol):
     """(gate balances all-zero?, worst gate balance, feedback balances).
     Feedback balance i is the raw census sum over F_i, i.e. p times the
     feedback agent's measure-weighted balance."""
-    cuts = list(sol.cuts)
+    dr = compiled.instance.domain_right
     worst = Fraction(0)
-    inst = compiled.instance
-    n_gates = len(compiled.gates)
-    for a in range(n_gates):
-        bal = _agent_balance(inst.agents[a], cuts, sol.labels)
+    for v in compiled.instance.agents[:len(compiled.gates)]:
+        bal = balance(v, sol, dr)
         if abs(bal) > abs(worst):
             worst = bal
-    return worst == 0, worst, _feedback_census(compiled, cuts, sol.labels)
+    return worst == 0, worst, _feedback_census(compiled, sol)
 
 
-def _feedback_census(compiled, cuts, labels):
-    p = compiled.layout.p
-    return [_agent_balance(v, cuts, labels) * p     # undo the 1/p height
+def _feedback_census(compiled, sol):
+    p, dr = compiled.layout.p, compiled.instance.domain_right
+    return [balance(v, sol, dr) * p     # undo the 1/p height
             for v in compiled.instance.agents[len(compiled.gates):]]
 
 
@@ -796,7 +768,7 @@ def find_solution(compiled, start, radius):
             if any(abs(v) > 1 for v in x):
                 continue
             sol = forward_place(compiled, x)
-            census = _feedback_census(compiled, list(sol.cuts), sol.labels)
+            census = _feedback_census(compiled, sol)
             scanned += 1
             worst = max(map(abs, census))
             if worst <= bound:
@@ -816,24 +788,6 @@ def audit_two_block_uniform(inst):
         if len({b.height for b in v.blocks}) > 1:
             return False
     return True
-
-
-def encoded_value_at(sol, left, cutsf=None):
-    """v([left, left+1]) for a solution, via local cut lookup."""
-    cuts = list(sol.cuts)
-    if cutsf is None:
-        cutsf = [float(c) for c in cuts]
-    lo = bisect_right(cutsf, float(left))
-    hi = bisect_right(cutsf, float(left) + 1.0)
-    edges = [rat(left)] + cuts[lo:hi] + [rat(left) + 1]
-    val = Fraction(0)
-    for s in range(len(edges) - 1):
-        seg = edges[s + 1] - edges[s]
-        if seg <= 0:
-            continue
-        sign = 1 if sol.labels[lo + s] == PLUS else -1
-        val += sign * seg
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -856,14 +810,23 @@ def decode_solution(compiled, sol):
     antipodal map."""
     lay = compiled.layout
     N, p, alpha = lay.N, lay.p, compiled.params.alpha
-    cuts = list(sol.cuts)
-    cutsf = [float(c) for c in cuts]
-    x = [encoded_value_at(sol, i, cutsf) for i in range(N)]
-    corrupted = set()
-    # count cuts per forced interval by a merged sweep
+    x = [encoded_value(sol, i) for i in range(N)]
+    # one exact merged pass over the sorted cuts and the sorted forced
+    # intervals (disjoint: each gate's is freshly allocated) counts the
+    # cuts strictly inside each interval and collects the other cuts
     intervals = sorted(compiled.forced)
-    counts = _interval_cut_counts(intervals, cuts, cutsf)
-    for (left, width), c in zip(intervals, counts):
+    inside = [0] * len(intervals)
+    free = []
+    k = 0
+    for t in sol.cuts:
+        while k < len(intervals) and sum(intervals[k]) <= t:
+            k += 1
+        if k < len(intervals) and intervals[k][0] < t:
+            inside[k] += 1
+        else:
+            free.append(t)
+    corrupted = set()
+    for (left, _), c in zip(intervals, inside):
         if c >= 2:
             j = lay.simulator_of(left)
             if j is None:
@@ -872,7 +835,7 @@ def decode_solution(compiled, sol):
                 corrupted.add(j)
     const_sign = {}
     for j in range(1, p + 1):
-        v = encoded_value_at(sol, N + j - 1, cutsf)
+        v = encoded_value(sol, N + j - 1)
         if v == 1:
             const_sign[j] = 1
         elif v == -1:
@@ -880,13 +843,8 @@ def decode_solution(compiled, sol):
         else:
             corrupted.add(j)
     # free cuts inside a simulator region corrupt it as well
-    forced_set = intervals
-    for t, tf in zip(cuts, cutsf):
-        if t <= N:
-            continue
-        if _in_some_interval(forced_set, t, tf):
-            continue
-        j = lay.simulator_of(t)
+    for t in free:
+        j = lay.simulator_of(t) if t > N else None
         if j is not None:
             corrupted.add(j)
     g8 = 8 * compiled.params.g
@@ -911,33 +869,6 @@ def decode_solution(compiled, sol):
     raise DecodeFailure(
         "no complementary cell pair among %d candidates "
         "(feedback mechanism violated?)" % len(candidates))
-
-
-def _interval_cut_counts(intervals, cuts, cutsf):
-    out = []
-    for left, width in intervals:
-        lo = bisect_right(cutsf, float(left))
-        hi = bisect_right(cutsf, float(left + width))
-        # strict interior only
-        c = 0
-        for t in cuts[lo:hi]:
-            if left < t < left + width:
-                c += 1
-        out.append(c)
-    return out
-
-
-def _in_some_interval(intervals, t, tf):
-    import bisect as _b
-    k = _b.bisect_right(intervals, (tf, float("inf"))) - 1
-    while k >= 0:
-        left, width = intervals[k]
-        if t >= left + width:
-            break
-        if left < t < left + width:
-            return True
-        k -= 1
-    return False
 
 
 def _feedback_simulator(lay, left):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                        balance, verify)
+                        balance, label_masses, verify)
 from chdiv import greedy
 
 
@@ -44,22 +44,6 @@ def alternating_solution(cuts):
     return Solution(cuts, labels)
 
 
-def _label_masses_on(v, cuts, lo, hi):
-    """(plus, minus) mass of v on [lo, hi] under alternating labels
-    starting with '+' at 0."""
-    cuts = sorted(cuts)
-    edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-    plus = minus = Fraction(0)
-    for a, b in zip(edges, edges[1:]):
-        m = v.mass_between(a, b)
-        below = sum(1 for c in cuts if c <= a)
-        if below % 2 == 0:
-            plus += m
-        else:
-            minus += m
-    return plus, minus
-
-
 def check_greedy_invariants(inst):
     """Run the greedy solver and assert its step invariants:
     - every previously processed agent stays 1/2-satisfied after each
@@ -77,6 +61,8 @@ def check_greedy_invariants(inst):
     assert len(sol.cuts) <= inst.n
     rep = verify(inst, sol, HALF)
     assert rep.satisfied, rep.max_discrepancy
+    length = Valuation([Block(0, inst.domain_right,
+                              Fraction(1, inst.domain_right))])
     processed = []
     prev_cuts, prev_rrs = set(), []
     for snap in trace:
@@ -92,16 +78,13 @@ def check_greedy_invariants(inst):
         blk = v.blocks[0]
         for l, r in rrs:
             # equal label lengths inside every reserved region
-            pl, mn = _label_masses_on(
-                Valuation([Block(0, inst.domain_right,
-                                 Fraction(1, inst.domain_right))]),
-                cuts, l, r)
-            assert pl == mn, (l, r, pl, mn)
+            m = label_masses(length, cuts, cur.labels, (PLUS, MINUS), l, r)
+            assert m[PLUS] == m[MINUS], (l, r, m)
             if blk.left <= l and r <= blk.right:
                 assert v.mass_between(l, r) <= HALF, (i, l, r)
             elif r > blk.left and l < blk.right:
-                pm, mm = _label_masses_on(v, cuts, l, r)
-                assert abs(pm - mm) <= Fraction(1, 4), (i, l, r, pm - mm)
+                m = label_masses(v, cuts, cur.labels, (PLUS, MINUS), l, r)
+                assert abs(m[PLUS] - m[MINUS]) <= Fraction(1, 4), (i, l, r, m)
         for c in set(cuts) - prev_cuts:
             for l, r in prev_rrs:
                 assert not (l < c < r), (c, l, r)

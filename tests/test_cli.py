@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from chdiv.cli import main
 from chdiv.core import (instance_from_obj, solution_from_obj,
                         solution_to_obj, verify)
-from chdiv import fixp, tucker
+from chdiv import fixp, oracle, tucker
 
 
 F = Fraction
@@ -121,6 +122,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     code, _, _ = run(capsys, "oracle", "--in", str(inst), "--eps", "0",
                      "--grid", "3", "--max-cuts", "1")
     assert code == 2
+
+
+def test_oracle_runtime_covers_the_search(tmp_path, capsys, monkeypatch):
+    inst = gen_instance(tmp_path, capsys, seed="5", n="2")
+    search = oracle.brute_force
+
+    def slow_search(*args, **kwargs):
+        time.sleep(0.05)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(oracle, "brute_force", slow_search)
+    code, out, _ = run(capsys, "oracle", "--in", str(inst), "--eps", "1/2",
+                       "--grid", "8", "--max-cuts", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["runtime_s"] >= 0.05
 
 
 def test_gen_copies(tmp_path, capsys):

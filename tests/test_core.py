@@ -1,5 +1,7 @@
+import ast
 import json
 import io
+import pathlib
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chdiv.core import (Block, Valuation, Instance, Solution, PLUS, MINUS,
-                        balance, verify, encoded_value, truncate,
+                        balance, verify, label_masses, encoded_value, truncate,
                         rescale_to_unit, disjoint_copies, rat, rat_str,
                         instance_to_obj, instance_from_obj, solution_to_obj,
                         solution_from_obj, dump_instance, load_instance,
@@ -68,8 +70,11 @@ def test_valuation_normalized_and_queries():
     assert v.mass_between(F(1, 4), F(3, 4)) == 0
     assert v.density_at(F(7, 8)) == 2
     assert v.density_at(F(1, 2)) == 0
-    assert v.classify() == "d-block-uniform"
-    assert Valuation([Block(0, 1, 1)]).classify() == "single-block"
+    assert v.density_at(F(3, 4)) == 2 and v.density_at(1) == 0
+    assert v.cdf(-1) == 0 and v.cdf(0) == 0
+    assert v.cdf(F(1, 8)) == F(1, 4)
+    assert v.cdf(F(1, 2)) == F(1, 2) and v.cdf(F(7, 8)) == F(3, 4)
+    assert v.cdf(1) == 1 and v.cdf(5) == 1
     w = v.translate(1)
     assert w.support_left == 1 and w.support_right == 2
 
@@ -294,3 +299,86 @@ def test_property_merging_equal_neighbors_is_invisible(v, s):
     assert rep1.masses == rep2.masses
     if any(a == b for a, b in zip(s.labels, s.labels[1:])):
         assert len(m.cuts) < len(s.cuts)
+
+
+# --- the measure kernel against a naive per-segment, per-block sum --------
+
+
+def naive_label_masses(v, cuts, labels, label_set, lo, hi):
+    """Overlap of every labelled segment with every block, clipped to
+    [lo, hi]; the first and last segments reach lo and hi."""
+    m = {lab: F(0) for lab in label_set}
+    edges = [lo] + list(cuts) + [hi]
+    for i, lab in enumerate(labels):
+        a, b = max(edges[i], lo), min(edges[i + 1], hi)
+        for blk in v.blocks:
+            x, y = max(a, blk.left), min(b, blk.right)
+            if y > x:
+                m[lab] += blk.height * (y - x)
+    return m
+
+
+@st.composite
+def kernel_cases(draw):
+    """Valuations on [0, 2] built from runs of touching blocks, with cut
+    sequences that repeat, land on block endpoints or fall outside the
+    support, and arbitrary labels from a k-label alphabet."""
+    k = draw(st.sampled_from([2, 3]))
+    agents = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = sorted(draw(st.lists(
+            st.fractions(min_value=F(1, 4), max_value=F(7, 4),
+                         max_denominator=12),
+            min_size=2, max_size=6, unique=True)))
+        spans = [(l, r) for l, r in zip(pts, pts[1:]) if draw(st.booleans())]
+        spans = spans or [(pts[0], pts[1])]
+        agents.append(Valuation.normalized(
+            [Block(l, r, draw(heights)) for l, r in spans]))
+    inst = Instance(agents, k=k, domain_right=2)
+    endpoints = sorted({e for v in agents for b in v.blocks
+                        for e in (b.left, b.right)})
+    anywhere = st.fractions(min_value=0, max_value=2, max_denominator=16)
+    cuts = sorted(draw(st.lists(st.one_of(st.sampled_from(endpoints),
+                                          anywhere), max_size=8)))
+    labels = draw(st.lists(st.sampled_from(inst.labels()),
+                           min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    lo, hi = draw(anywhere), draw(anywhere)
+    return inst, Solution(cuts, labels), lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_property_kernel_matches_naive_overlap_sum(case):
+    inst, s, lo, hi = case
+    labs = inst.labels()
+    whole = [naive_label_masses(v, s.cuts, s.labels, labs, -1, 3)
+             for v in inst.agents]
+    for v, ref in zip(inst.agents, whole):
+        assert label_masses(v, s.cuts, s.labels, labs) == ref
+        assert label_masses(v, s.cuts, s.labels, labs, lo, hi) == \
+            naive_label_masses(v, s.cuts, s.labels, labs, lo, hi)
+        for x in s.cuts + (lo, hi):
+            assert v.cdf(x) == naive_label_masses(
+                v, (), ["A"], ["A"], -1, x)["A"]
+        if inst.k == 2:
+            assert balance(v, s, 2) == ref[PLUS] - ref[MINUS]
+    rep = verify(inst, s, 0)
+    assert rep.masses == whole
+    assert rep.per_agent_discrepancy == [max(m.values()) - min(m.values())
+                                         for m in whole]
+
+
+def test_package_has_no_floating_point():
+    """Everything in the package is an exact rational: no source file
+    under src/chdiv names float or holds a float literal."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "chdiv"
+    files = sorted(src.glob("*.py"))
+    assert files
+    hits = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "float") or (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, float)):
+                hits.append("%s:%d" % (path.name, node.lineno))
+    assert not hits, hits

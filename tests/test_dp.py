@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                        verify)
-from chdiv.dp import (GridParams, InstanceStats, partial_balance,
-                      round_instance, dp_solve)
+                        label_masses, verify)
+from chdiv.dp import InstanceStats, round_instance, dp_solve
 from chdiv.oracle import GridSearchConfig, brute_force
 from chdiv.lp import midpoint_solution
 from conftest import random_single_block_instance
@@ -17,12 +16,6 @@ F = Fraction
 
 def two_agent(b1, b2):
     return Instance([Valuation([Block(*b1)]), Valuation([Block(*b2)])], k=2)
-
-
-def test_grid_params():
-    g = GridParams(8)
-    assert g.step == F(1, 8)
-    assert g.points() == [F(l, 8) for l in range(8)]
 
 
 def test_instance_stats_touching_blocks_do_not_stack():
@@ -38,11 +31,17 @@ def test_instance_stats_overlap():
 
 
 def test_partial_balance():
+    # signed mass of [z, 1] under alternating labels starting at z
+    def partial(v, cuts, z, first):
+        other = MINUS if first == PLUS else PLUS
+        labels = [first, other] * (len(cuts) // 2 + 1)
+        m = label_masses(v, cuts, labels, (PLUS, MINUS), lo=z)
+        return m[PLUS] - m[MINUS]
     v = Valuation([Block(0, 1, 1)])
-    assert partial_balance(v, [F(1, 2)], 0, PLUS) == 0
-    assert partial_balance(v, [], F(1, 2), PLUS) == F(1, 2)
+    assert partial(v, [F(1, 2)], 0, PLUS) == 0
+    assert partial(v, [], F(1, 2), PLUS) == F(1, 2)
     w = Valuation([Block(F(1, 2), 1, 2)])
-    assert partial_balance(w, [F(3, 4)], F(1, 2), MINUS) == 0
+    assert partial(w, [F(3, 4)], F(1, 2), MINUS) == 0
 
 
 def test_round_instance_snaps_and_renormalizes():

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from chdiv.core import (Instance, Valuation, Block, verify, encoded_value,
-                        truncate, balance)
+from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
+                        verify, encoded_value, truncate, balance)
 from chdiv.tucker import (BoolCircuit, CircuitBuilder, TuckerLabeling,
                           decode_label, point_bits, bits_to_coord,
                           demo_labeling, snake_embed, snake_preimage,
                           ReductionParams, dist_to_B, cell_of,
-                          Assembler, make_gate, Layout, CompiledCH,
+                          Assembler, Layout, CompiledCH,
                           compile_tucker, simulate_phases, forward_place,
                           balance_report, audit_two_block_uniform,
-                          encoded_value_at, decode_solution, DecodeFailure,
+                          decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
 
 
@@ -173,16 +173,6 @@ def test_boolean_gates_exact_on_perfect_bits():
         assert val(outs["or"]) == max(b1, b2)
 
 
-def test_make_gate_dispatch():
-    asm = Assembler(EPS, origin=2)
-    w = make_gate(asm, "neg", 0)
-    assert asm.gates[-1][0] == "vol"
-    make_gate(asm, "add", 0, w)
-    assert asm.gates[-1][0] == "add"
-    with pytest.raises(ValueError):
-        make_gate(asm, "nonsense", 0)
-
-
 def test_volume_gate_rejects_bad_delta():
     asm = Assembler(EPS, origin=1)
     with pytest.raises(ValueError):
@@ -241,9 +231,8 @@ def test_forward_place_gate_exact_1d(compiled_1d):
     ok, worst, feedback = balance_report(comp, sol)
     assert ok and worst == 0
     assert len(feedback) == 1
-    # the fast encoded-value reader agrees with the exact one
-    assert encoded_value_at(sol, 0) == F(-1, 32)
-    assert encoded_value_at(sol, 1) == 1
+    assert encoded_value(sol, 0) == F(-1, 32)
+    assert encoded_value(sol, 1) == 1
 
 
 def test_decode_1d(compiled_1d):
@@ -289,3 +278,31 @@ def test_decode_failure_far_from_the_boundary(compiled_1d):
     sol = forward_place(comp, [F(-1)])
     with pytest.raises(DecodeFailure):
         decode_solution(comp, sol)
+    # at x = -1 and x = +1 the coordinate cut sits on the cell's edge,
+    # and the gates still balance exactly
+    for xv in (F(-1), F(1)):
+        ok, worst, _ = balance_report(comp, forward_place(comp, [xv]))
+        assert ok and worst == 0, (xv, worst)
+
+
+def test_decode_sees_sub_ulp_cuts_in_constant_cells(compiled_1d):
+    # two extra cuts 2^-70 and 2^-69 past the left edge of every
+    # constant cell flip a sliver of length 2^-70, so each cell reads
+    # +-(1 - 2^-69): every simulator is corrupted and nothing decodes.
+    # A decoder that rounded cut positions to floats would read each
+    # cell as exactly +-1 and decode ((4,), (5,)).
+    comp = compiled_1d
+    N, p = comp.layout.N, comp.layout.p
+    _, sol = find_solution(comp, (F(-1, 32),), radius=4)
+    assert decode_solution(comp, sol)
+    extra = [N + j + d for j in range(p)
+             for d in (F(1, 2 ** 70), F(1, 2 ** 69))]
+    cuts = sorted(sol.cuts + tuple(extra))
+    first = sol.labels[0]
+    other = MINUS if first == PLUS else PLUS
+    tampered = Solution(cuts, [first if i % 2 == 0 else other
+                               for i in range(len(cuts) + 1)])
+    for j in range(p):
+        assert abs(encoded_value(tampered, N + j)) == 1 - F(1, 2 ** 69)
+    with pytest.raises(DecodeFailure):
+        decode_solution(comp, tampered)
