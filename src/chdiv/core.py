@@ -284,12 +284,21 @@ def label_masses(v, cuts, labels, label_set, lo=None, hi=None):
     return m
 
 
-def balance(v, s, domain_right=1):
-    """mu(I+) - mu(I-) over [0, domain_right]; a label other than + and
-    - on a segment that meets v's support is a ValueError."""
-    m = label_masses(v, s.cuts, s.labels, (PLUS, MINUS), 0,
-                     rat(domain_right))
+def balance(v, s, domain_right=None):
+    """mu(I+) - mu(I-) over [0, domain_right], or over all of v when
+    domain_right is None; a label other than + and - on a segment that
+    meets v's support is a ValueError."""
+    lo, hi = (None, None) if domain_right is None else (0, rat(domain_right))
+    m = label_masses(v, s.cuts, s.labels, (PLUS, MINUS), lo, hi)
     return m[PLUS] - m[MINUS]
+
+
+def grid_points(inst, m):
+    """The m-grid i * L / m, i = 0..m, on the domain [0, L]."""
+    if m < 1:
+        raise ValueError("grid resolution must be >= 1")
+    p, q = inst.domain_right.numerator, inst.domain_right.denominator * m
+    return [Fraction(i * p, q) for i in range(m + 1)]
 
 
 def check_solution(inst, s):

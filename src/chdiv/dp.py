@@ -1,17 +1,21 @@
 """Grid dynamic programming for single-block consensus-halving.
 
-Cuts are restricted to the grid Q_m = {0, 1/m, ..., (m-1)/m}; segment
-labels alternate so that the final segment is "+" (the (-1)^t sign in
-the recursion).  The state is (leftover balance targets for the agents
-whose block covers the last cut, last cut position, cuts remaining);
-balance targets are snapped to the signed grid after every update to
-keep the table finite.
+Cuts are restricted to the grid Q_m = {0, L/m, ..., (m-1)L/m} on the
+domain [0, L]; segment labels alternate so that the final segment is
+"+" (the (-1)^t sign in the recursion).  The state is (leftover balance
+targets for the agents whose block covers the last cut, last cut
+position, cuts remaining).  Every target is a signed sum of agent
+masses of grid segments, so the table is finite without rounding, and
+the search is exact: it finds a grid solution with at most cut_budget
+cuts iff one exists.
 """
 
 from fractions import Fraction
 
+# verify is not called here; it stays importable as chdiv.dp.verify,
+# one of the sites perfbench/layers.py wraps
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS, rat,
-                   verify)
+                   grid_points, verify)
 
 
 class InstanceStats:
@@ -79,6 +83,8 @@ def _snap_tie_down(x, m):
 class DPResult:
     def __init__(self, solution, states_visited, m, d, M):
         self.solution = solution          # None when infeasible at grid
+        # table entries of the one exact search; `chdiv solve --algo dp
+        # --json` reports it when the answer is infeasible
         self.states_visited = states_visited
         self.m = m
         self.d = d
@@ -89,11 +95,11 @@ class DPResult:
         return self.solution is not None
 
 
-def dp_solve(inst, eps, m=None, snap=True):
+def dp_solve(inst, eps, m=None):
     """Search for an eps-solution with cuts on Q_m and alternating
-    labels.  m defaults to ceil(2M/eps).  Returns a DPResult; a None
-    solution means no grid-restricted solution with at most cut_budget
-    cuts exists."""
+    labels.  m defaults to ceil(2 M L / eps), L = domain_right; an m
+    below 1 is a ValueError.  Returns a DPResult; a None solution means
+    no grid-restricted solution with at most cut_budget cuts exists."""
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -103,14 +109,13 @@ def dp_solve(inst, eps, m=None, snap=True):
             raise ValueError("dp solver needs single-block agents")
         blocks.append(v.blocks[0])
     stats = InstanceStats(inst)
-    if m is None:
-        m = _ceil_frac(2 * stats.M / eps)
+    if m is None:        # M = 0 only without agents; one point then
+        m = max(1, _ceil_frac(2 * stats.M * inst.domain_right / eps))
+    grid = grid_points(inst, m)[:m]
     n = inst.n
-    d = stats.d
     a = [b.left for b in blocks]
     bb = [b.right for b in blocks]
     h = [b.height for b in blocks]
-    grid = [Fraction(l, m) for l in range(m)]
 
     def active(z):
         return tuple(i for i in range(n) if a[i] <= z < bb[i])
@@ -123,84 +128,69 @@ def dp_solve(inst, eps, m=None, snap=True):
         hi = min(hi, bb[i])
         return h[i] * (hi - lo) if hi > lo else Fraction(0)
 
-    visited = [0]
     budget = min(inst.cut_budget, m - 1)
+    memo = {}
 
-    def search(use_snap):
-        def snap_q(q):
-            if not use_snap:
-                return q
-            s = _snap_tie_down(q, m)
-            return max(Fraction(-1), min(Fraction(1), s))
-
-        memo = {}
-
-        def rec(q, zi, t):
-            key = (q, zi, t)
-            if key in memo:
-                return memo[key]
-            visited[0] += 1
-            z = grid[zi]
-            act = active(z)
-            if t == 0:
-                ok = all(abs(mass(i, z, bb[i]) - q[j]) <= eps
-                         for j, i in enumerate(act))
-                ok = ok and not dormant_after(z)
-                res = (ok, ())
-                memo[key] = res
-                return res
-            sign = 1 if t % 2 == 0 else -1   # label of [z, r] (+ is last)
-            for ri in range(zi + 1, m):
-                r = grid[ri]
-                skip = False
-                for j, i in enumerate(act):
-                    if not (a[i] <= r < bb[i]):      # i leaves scope at r
-                        if abs(sign * mass(i, z, r) - q[j]) > eps:
-                            skip = True
-                            break
-                if skip:
-                    continue
-                for i in dormant_after(z):
-                    if a[i] > z and bb[i] <= r:  # swallowed whole: hopeless
-                        skip = True
-                        break
-                if skip:
-                    continue
-                nact = active(r)
-                nq = []
-                for i in nact:
-                    if i in act:
-                        l = act.index(i)
-                        nq.append(snap_q(q[l] - sign * mass(i, z, r)))
-                    else:
-                        nq.append(snap_q(-sign * mass(i, z, r)))
-                sub_ok, sub_cuts = rec(tuple(nq), ri, t - 1)
-                if sub_ok:
-                    res = (True, (r,) + sub_cuts)
-                    memo[key] = res
-                    return res
-            res = (False, ())
+    def rec(q, zi, t):
+        key = (q, zi, t)
+        if key in memo:
+            return memo[key]
+        z = grid[zi]
+        act = active(z)
+        if t == 0:
+            # the last segment [z, L] is "+" and holds every dormant
+            # agent whole
+            ok = all(abs(mass(i, z, bb[i]) - q[j]) <= eps
+                     for j, i in enumerate(act))
+            ok = ok and all(mass(i, z, bb[i]) <= eps
+                            for i in dormant_after(z))
+            res = (ok, ())
             memo[key] = res
             return res
+        sign = 1 if t % 2 == 0 else -1   # label of [z, r] (+ is last)
+        for ri in range(zi + 1, m):
+            r = grid[ri]
+            skip = False
+            for j, i in enumerate(act):
+                if not (a[i] <= r < bb[i]):      # i leaves scope at r
+                    if abs(sign * mass(i, z, r) - q[j]) > eps:
+                        skip = True
+                        break
+            if skip:
+                continue
+            for i in dormant_after(z):
+                # swallowed whole by [z, r]: its balance is +-1
+                if bb[i] <= r and mass(i, z, r) > eps:
+                    skip = True
+                    break
+            if skip:
+                continue
+            nact = active(r)
+            nq = []
+            for i in nact:
+                if i in act:
+                    l = act.index(i)
+                    nq.append(q[l] - sign * mass(i, z, r))
+                else:
+                    nq.append(-sign * mass(i, z, r))
+            sub_ok, sub_cuts = rec(tuple(nq), ri, t - 1)
+            if sub_ok:
+                res = (True, (r,) + sub_cuts)
+                memo[key] = res
+                return res
+        res = (False, ())
+        memo[key] = res
+        return res
 
-        for t in range(0, budget + 1):
-            q0 = tuple(Fraction(0) for _ in active(Fraction(0)))
-            ok, cuts = rec(q0, 0, t)
-            if ok:
-                labels = [PLUS if (t - k) % 2 == 0 else MINUS
-                          for k in range(t + 1)]
-                if labels[0] == MINUS:
-                    labels = [PLUS if l == MINUS else MINUS for l in labels]
-                return Solution(cuts, labels)
-        return None
-
-    # The snapped table is a fast path only: snapping the leftover
-    # balances can both over- and under-accept by the accumulated snap
-    # error, so a snapped witness is re-checked exactly and a snapped
-    # miss is retried with exact balances.
-    if snap:
-        sol = search(True)
-        if sol is not None and verify(inst, sol, eps).satisfied:
-            return DPResult(sol, visited[0], m, d, stats.M)
-    sol = search(False)
-    return DPResult(sol, visited[0], m, d, stats.M)
+    sol = None
+    for t in range(0, budget + 1):
+        q0 = tuple(Fraction(0) for _ in active(Fraction(0)))
+        ok, cuts = rec(q0, 0, t)
+        if ok:
+            labels = [PLUS if (t - k) % 2 == 0 else MINUS
+                      for k in range(t + 1)]
+            if labels[0] == MINUS:
+                labels = [PLUS if l == MINUS else MINUS for l in labels]
+            sol = Solution(cuts, labels)
+            break
+    return DPResult(sol, len(memo), m, stats.d, stats.M)

@@ -478,7 +478,7 @@ class EncodingStatus:
             self.well_cut, self.valid, self.value)
 
 
-def encoding_status(sol, left, domain_right):
+def encoding_status(sol, left):
     """Well-cut / valid flags and the encoded value of the length-9
     interval starting at left."""
     left = rat(left)
@@ -623,7 +623,7 @@ class KDivDecodeFailure(Exception):
     pass
 
 
-def _rename_for_out1(sol, domain_right):
+def _rename_for_out1(sol):
     """Permute labels so Out1 = [0,9] reads A, B, C left to right."""
     inside = [t for t in sol.cuts if 0 < t < 9]
     if len(inside) != 2:
@@ -639,12 +639,11 @@ def _rename_for_out1(sol, domain_right):
 
 def decode_fixed_point(compiled, sol):
     """Read the fixed point (v(In1), v(In2)) from an exact solution."""
-    dr = compiled.instance.domain_right
-    sol = _rename_for_out1(sol, dr)
+    sol = _rename_for_out1(sol)
     lay = compiled.layout
     vals = []
     for idx in (KDivLayout.IN1, KDivLayout.IN2):
-        st = encoding_status(sol, lay.left(idx), dr)
+        st = encoding_status(sol, lay.left(idx))
         if not st.valid:
             raise KDivDecodeFailure("input interval %d is not a valid "
                                     "encoding" % idx)

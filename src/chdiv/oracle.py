@@ -6,7 +6,7 @@ import itertools
 from math import comb, lcm
 
 from .core import (Instance, Solution, BalanceReport, check_solution,
-                   label_masses, verify, PLUS, MINUS, rat)
+                   grid_points, label_masses, verify, PLUS, MINUS, rat)
 
 
 WORK_LIMIT = 10 ** 8
@@ -26,11 +26,6 @@ class GridSearchConfig:
         self.label_mode = label_mode
 
 
-def _grid_points(inst, m):
-    step = inst.domain_right / m
-    return [i * step for i in range(m + 1)]
-
-
 def _estimate_work(points, t, labelings):
     return comb(len(points), t) * labelings
 
@@ -46,7 +41,7 @@ def brute_force(inst, eps, cfg, jobs=1):
     position across processes.
     """
     eps = rat(eps)
-    points = _grid_points(inst, cfg.m)
+    points = grid_points(inst, cfg.m)
     labs = inst.labels()
     if inst.k == 2 and cfg.label_mode == "alternating":
         if jobs > 1:

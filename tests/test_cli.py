@@ -84,6 +84,32 @@ def test_solve_dp_infeasible_grid(tmp_path, capsys):
     assert json.loads(out)["feasible"] is False
 
 
+def test_solve_dp_on_a_longer_domain(tmp_path, capsys):
+    # one block on [1, 2] of the domain [0, 2]
+    inst = tmp_path / "long.json"
+    inst.write_text(json.dumps({
+        "k": 2, "domain_right": "2/1", "cut_budget": 1,
+        "agents": [
+            {"blocks": [{"left": "1/1", "right": "2/1", "height": "1/1"}]},
+        ]}))
+    solp = tmp_path / "sol.json"
+    code, out, _ = run(capsys, "solve", "--algo", "dp", "--eps", "1/4",
+                       "--in", str(inst), "--out", str(solp), "--json")
+    assert code == 0 and json.loads(out)["satisfied"] is True
+    sol = solution_from_obj(json.loads(solp.read_text()))
+    parsed = instance_from_obj(json.loads(inst.read_text()))
+    assert len(sol.cuts) <= parsed.cut_budget
+    assert verify(parsed, sol, F(1, 4)).satisfied
+
+
+def test_solve_dp_rejects_a_grid_below_one(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    for grid in ("0", "-3"):
+        code, out, err = run(capsys, "solve", "--algo", "dp", "--eps",
+                             "1/4", "--in", str(inst), "--grid", grid)
+        assert code == 1 and "grid" in err and out == ""
+
+
 def test_solve_lp_exact(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys)
     solp = tmp_path / "sol.json"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                         label_masses, verify)
@@ -146,3 +147,80 @@ def test_dp_infeasible_at_coarse_grid():
     res = dp_solve(inst, F(1, 8), m=2)
     assert not res.feasible
     assert res.solution is None
+
+
+def test_dp_rejects_a_grid_below_one():
+    inst = Instance([Valuation([Block(0, 1, 1)])])
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            dp_solve(inst, F(1, 4), m=m)
+
+
+def test_dp_instance_without_agents_needs_no_cut():
+    res = dp_solve(Instance([]), F(1, 4))
+    assert res.feasible and res.solution.cuts == () and res.m == 1
+
+
+def test_dp_uses_the_whole_domain():
+    # one block on [1, 2] of the domain [0, 2]: the cut 3/2 is exact
+    inst = Instance([Valuation([Block(1, 2, 1)])], domain_right=2)
+    res = dp_solve(inst, F(1, 4))
+    assert res.m == 16                       # ceil(2 M L / eps)
+    assert len(res.solution.cuts) == 1
+    assert verify(inst, res.solution, F(1, 4)).satisfied
+    # the grid {0, 1/2, 1, 3/2} holds the exact cut
+    assert dp_solve(inst, F(1, 100), m=4).solution.cuts == (F(3, 2),)
+
+
+def test_dp_knows_every_balance_is_within_one():
+    # eps >= 1 accepts any partition, even with no cut for an agent
+    # whose block starts right of 0
+    inst = Instance([Valuation([Block(F(1, 2), 1, 2)])], cut_budget=0)
+    res = dp_solve(inst, 1)
+    assert res.feasible and res.solution.cuts == ()
+    assert brute_force(inst, 1, GridSearchConfig(res.m, 0)) is not None
+
+
+@st.composite
+def lattice_instances(draw):
+    """1-3 single-block agents with endpoints on the L/G lattice of a
+    domain [0, L] with rational L."""
+    L = draw(st.fractions(min_value=F(1, 4), max_value=4,
+                          max_denominator=6))
+    G = draw(st.integers(1, 6))
+    agents = []
+    for _ in range(draw(st.integers(1, 3))):
+        l = draw(st.integers(0, G - 1))
+        r = draw(st.integers(l + 1, G))
+        agents.append(Valuation([Block(l * L / G, r * L / G,
+                                       G / ((r - l) * L))]))
+    return agents, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_instances(), st.sampled_from([F(1, 8), F(1, 4), F(1, 2), 1]),
+       st.integers(0, 3), st.integers(1, 12))
+def test_property_dp_matches_oracle_on_any_domain(case, eps, budget, m):
+    agents, L = case
+    inst = Instance(agents, cut_budget=min(budget, len(agents)),
+                    domain_right=L)
+    res = dp_solve(inst, eps, m=m)
+    ref = brute_force(inst, eps, GridSearchConfig(res.m, inst.cut_budget))
+    assert res.feasible == (ref is not None)
+    if res.feasible:
+        sol = res.solution
+        assert verify(inst, sol, eps).satisfied
+        assert len(sol.cuts) <= inst.cut_budget
+        assert all((c * m / L).denominator == 1 for c in sol.cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_instances(), st.sampled_from([F(1, 4), F(1, 2)]))
+def test_property_dp_feasible_at_the_default_grid(case, eps):
+    agents, L = case
+    inst = Instance(agents, domain_right=L)     # budget n
+    assert verify(inst, midpoint_solution(inst), 0).satisfied
+    res = dp_solve(inst, eps)
+    assert res.feasible
+    assert verify(inst, res.solution, eps).satisfied
+    assert len(res.solution.cuts) <= inst.n

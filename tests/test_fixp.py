@@ -68,7 +68,7 @@ def test_fixed_points_verify_and_decode(circ, fp):
     assert decode_fixed_point(comp, sol) == fp
     assert eval_trunc(circ, fp) == fp
     for idx in range(comp.layout.count):
-        st = encoding_status(sol, comp.layout.left(idx), inst.domain_right)
+        st = encoding_status(sol, comp.layout.left(idx))
         assert st.well_cut and st.valid
 
 
@@ -104,11 +104,10 @@ def test_encoding_status_flags_bad_cut_patterns():
     comp = compile_fixp(IDENT)
     fp = (F(0), F(0))
     sol = forward_place_kdiv(comp, fp)
-    st = encoding_status(sol, comp.layout.left(0), comp.instance.domain_right)
+    st = encoding_status(sol, comp.layout.left(0))
     assert st.valid and st.value == 0
     # shifting the window misaligns every cut
-    st = encoding_status(sol, comp.layout.left(0) + F(9, 2),
-                         comp.instance.domain_right)
+    st = encoding_status(sol, comp.layout.left(0) + F(9, 2))
     assert not st.valid
 
 

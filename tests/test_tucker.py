@@ -244,6 +244,15 @@ def test_decode_1d(compiled_1d):
     assert max(abs(a - b) for a, b in zip(u, w)) <= 1
 
 
+def test_balance_without_a_domain_does_not_clip(compiled_1d):
+    # the feedback agent lives far right of 1 on the compiled domain
+    inst = compiled_1d.instance
+    sol = forward_place(compiled_1d, [F(-1, 32)])
+    feedback = inst.agents[-1]
+    assert balance(feedback, sol) == F(-8191, 32768)
+    assert balance(feedback, sol, inst.domain_right) == F(-8191, 32768)
+
+
 def test_find_solution_1d(compiled_1d):
     comp = compiled_1d
     inst = comp.instance
