@@ -32,6 +32,20 @@ def _frac(text):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
+def _jobs(text):
+    """A worker count for --jobs or CONSENSUS_CUT_JOBS: 1..os.cpu_count()."""
+    cap = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = None
+    if jobs is None or not 1 <= jobs <= cap:
+        raise argparse.ArgumentTypeError(
+            "jobs must be an integer in 1..%d (--jobs or CONSENSUS_CUT_JOBS),"
+            " got %r" % (cap, text))
+    return jobs
+
+
 def _load_json(path):
     with open(path) as fp:
         return json.load(fp)
@@ -279,9 +293,8 @@ def build_parser():
         sp.add_argument("--csv", action="store_true",
                         help="plot-ready CSV on stdout")
         sp.add_argument("--out", help="output file (JSON)")
-        sp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("CONSENSUS_CUT_JOBS",
-                                                   "1")))
+        sp.add_argument("--jobs", type=_jobs,
+                        default=os.environ.get("CONSENSUS_CUT_JOBS", "1"))
         sp.add_argument("--seed", type=int, default=0)
         if eps:
             sp.add_argument("--eps", type=_frac, default=None)

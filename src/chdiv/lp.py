@@ -91,7 +91,7 @@ def solve_with_budget(inst, ell):
     return None
 
 
-def refine_exact(inst, approx, eps=None):
+def refine_exact(inst, approx):
     """Turn an approximate solution into an exact one by re-optimizing
     the cut positions with frozen labels and frozen breakpoint cells:
     minimize z = max pairwise label discrepancy subject to each cut

@@ -1,10 +1,19 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact rationals, pivoting on integers.
 
 Bland's rule throughout, so no cycling and no tolerances.  Sizes here
 are tiny (tens of rows), a tableau is plenty.
+
+Rows are scaled to Python ints once; a pivot makes row i p*row_i -
+f*row_r over its gcd (Edmonds' integer-preserving elimination).  Every
+row, the reduced-cost row kept last included, stays a positive
+multiple of its row in the rational tableau, whose basic entries are
+1.  The signs of the reduced costs and the order of the ratios rhs/a,
+so Bland's path and the final basis, are the rational tableau's, and
+a basic variable is rhs / (its row's basic entry).
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 OPTIMAL = "optimal"
@@ -12,43 +21,54 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+def _reduced(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _scaled(values, d):
+    """d * v for rationals v whose denominators divide d."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _cost_row(T, basis, cost):
+    """Reduced costs of cost (one per column) at basis, then -objective
+    in the rhs place: the cost row with each basic column priced out."""
+    z = _scaled(list(cost) + [0], lcm(*(v.denominator for v in cost)))
+    for r, bi in zip(T, basis):
+        if z[bi]:
+            z = _reduced([r[bi] * a - z[bi] * v for a, v in zip(z, r)])
+    return z
+
+
 def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for i, r in enumerate(T):
-        if i != row and r[col] != 0:
-            f = r[col]
-            T[i] = [a - f * b for a, b in zip(r, T[row])]
+    if T[row][col] < 0:
+        T[row] = [-v for v in T[row]]
+    r = T[row]
+    p = r[col]
+    for i, t in enumerate(T):
+        f = t[col]
+        if i != row and f:
+            T[i] = _reduced([p * a - f * v for a, v in zip(t, r)])
     basis[row] = col
 
 
-def _run(T, basis, cost, ncols):
-    """Minimize cost (list over columns) given tableau T (rows = A|b)
-    with a feasible basis.  Returns status; T/basis updated in place."""
-    m = len(T)
+def _run(T, basis, ncols):
+    """Minimize from a feasible basis; T holds the rows (A|b) and last
+    the reduced-cost row over the first ncols columns.  Returns status;
+    T/basis updated in place."""
     while True:
-        # reduced costs
-        y = [cost[basis[i]] for i in range(m)]
-        red = list(cost[:ncols])
-        for i in range(m):
-            if y[i] != 0:
-                for j in range(ncols):
-                    red[j] -= y[i] * T[i][j]
-        enter = None
-        for j in range(ncols):
-            if red[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if T[-1][j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i in range(len(basis)):
+            a = T[i][enter]
+            if a > 0:
+                # d > 0 iff rhs_i / a < rhs_leave / a_leave
+                d = 1 if leave is None else \
+                    T[leave][-1] * a - T[i][-1] * T[leave][enter]
+                if d > 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return UNBOUNDED
@@ -56,47 +76,42 @@ def _run(T, basis, cost, ncols):
 
 
 def solve_eq(c, A, b):
-    """min c.x subject to A x = b, x >= 0.  Exact rationals.
-    Returns (status, x, objective)."""
+    """min c.x subject to A x = b, x >= 0, for c, A, b of ints and
+    Fractions.  Returns (status, x, objective)."""
     m = len(A)
     n = len(c)
     T = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        T.append(row + [Fraction(0)] * m + [rhs])
-    for i in range(m):
-        T[i][n + i] = Fraction(1)
+        d = lcm(*(v.denominator for v in A[i]), b[i].denominator)
+        row = _scaled(list(A[i]) + [b[i]], -d if b[i] < 0 else d)
+        row[n:n] = [0] * m
+        row[n + i] = d
+        T.append(_reduced(row))
     basis = [n + i for i in range(m)]
-    ncols = n + m
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    status = _run(T, basis, phase1, ncols)
+    T.append(_cost_row(T, basis, [0] * n + [1] * m))
+    status = _run(T, basis, n + m)
     assert status == OPTIMAL  # phase 1 is bounded below by 0
-    obj1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
-    if obj1 > 0:
+    T.pop()
+    # phase 1's optimum is above 0 iff an artificial stays at a positive level
+    if any(T[i][-1] for i in range(m) if basis[i] >= n):
         return INFEASIBLE, None, None
     # drive artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if T[i][j] != 0:
-                    _pivot(T, basis, i, j)
-                    break
+    for i in [i for i in range(m) if basis[i] >= n]:
+        j = next((j for j in range(n) if T[i][j]), None)
+        if j is not None:
+            _pivot(T, basis, i, j)
     # drop rows still basic in an artificial (redundant constraints)
     keep = [i for i in range(m) if basis[i] < n]
     T = [T[i][:n] + [T[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    phase2 = [Fraction(v) for v in c]
-    status = _run(T, basis, phase2, n)
+    T.append(_cost_row(T, basis, c))
+    status = _run(T, basis, n)
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    obj = sum(ci * xi for ci, xi in zip(phase2, x))
+    for r, bi in zip(T, basis):
+        x[bi] = Fraction(r[-1], r[bi])
+    obj = sum(ci * xi for ci, xi in zip(c, x))
     return OPTIMAL, x, obj
 
 

@@ -300,6 +300,15 @@ def test_tucker_pipeline_feedback_tolerance(tucker_pipeline):
             i + 1, census, bound)
 
 
+def test_tucker_pipeline_solution_verifies(tucker_pipeline):
+    # the find_solution point is an eps-solution of the whole compiled
+    # instance, gate and feedback agents alike, within its cut budget
+    comp, sol = tucker_pipeline["comp"], tucker_pipeline["sol"]
+    assert len(sol.cuts) <= comp.instance.cut_budget
+    rep = verify(comp.instance, sol, comp.params.eps)
+    assert rep.satisfied, rep.max_discrepancy
+
+
 # --- 9: the fixed-point reduction pipeline -----------------------------------
 
 

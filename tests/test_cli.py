@@ -1,10 +1,12 @@
+import argparse
 import json
+import os
 import time
 from fractions import Fraction
 
 import pytest
 
-from chdiv.cli import main
+from chdiv.cli import main, _jobs
 from chdiv.core import (instance_from_obj, solution_from_obj,
                         solution_to_obj, verify)
 from chdiv import fixp, oracle, tucker
@@ -186,6 +188,34 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert e.value.code == 1
     with pytest.raises(SystemExit) as e:
         run(capsys, "frobnicate")
+    assert e.value.code == 1
+
+
+def test_jobs_type_accepts_one_to_cpu_count():
+    cap = os.cpu_count() or 1
+    assert _jobs("1") == 1
+    assert _jobs(str(cap)) == cap
+    for bad in ("0", "-3", str(cap + 1), "abc", "1.5", "", "1" * 5000):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _jobs(bad)
+
+
+def test_bad_jobs_is_exit_1(tmp_path, capsys, monkeypatch):
+    # each bad value is rejected while the arguments are parsed, before
+    # any subcommand (and so any pool) starts
+    argv = ["verify", "--in", str(tmp_path / "nope.json"), "--solution",
+            str(tmp_path / "nope.json"), "--eps", "0"]
+    monkeypatch.setenv("CONSENSUS_CUT_JOBS", "abc")
+    with pytest.raises(SystemExit) as e:
+        run(capsys, *argv)
+    assert e.value.code == 1
+    assert "CONSENSUS_CUT_JOBS" in capsys.readouterr().err
+    # an explicit --jobs overrides the environment
+    code, _, err = run(capsys, *argv, "--jobs", "1")
+    assert code == 1 and "No such file" in err and "--jobs" not in err
+    monkeypatch.delenv("CONSENSUS_CUT_JOBS")
+    with pytest.raises(SystemExit) as e:
+        run(capsys, *argv, "--jobs", "-3")
     assert e.value.code == 1
 
 
