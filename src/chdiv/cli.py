@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text):
     try:
-        return Fraction(text)
+        return rat(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 

@@ -3,12 +3,20 @@
 Everything is a fractions.Fraction; no floats anywhere.  An instance is a
 list of piecewise-constant probability densities on [0, domain_right], a
 solution is a sorted list of cut positions plus one label per segment.
+
+The hot paths run on Python ints: a Valuation keeps its block endpoints
+and heights as ints over two common denominators, a Solution keeps its
+cuts as ints over one (its CutFrame), and the measure kernel bisects,
+clips and sums on those ints, building a Fraction only for its result.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 import itertools
 import json
+from math import lcm
+from operator import itemgetter
+import re
 
 
 PLUS = "+"
@@ -18,20 +26,45 @@ MINUS = "-"
 KLABELS = [chr(ord("A") + i) for i in range(26)]
 
 
+# A decimal exponent e in a rational string makes an |e|-digit int; past
+# this many digits Python already refuses to parse an int string.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def rat(x):
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
+    """Coerce ints, strings and Fractions to Fraction.
+
+    The forms rat_str writes, 'p/q' and integers in ASCII digits, are
+    parsed with int(); any other string goes to Fraction(str), except
+    that a decimal exponent above MAX_EXPONENT in size is a ValueError
+    instead of a huge int."""
+    if isinstance(x, str):
+        p, slash, q = x.partition("/")
+        if (x.isascii() and (p.isdigit() or p[:1] == "-" and p[1:].isdigit())
+                and (q.isdigit() or not slash)):
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        e = _EXPONENT.search(x)
+        if e:
+            digits = e.group(1).lstrip("+-").replace("_", "").lstrip("0")
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits or 0) > MAX_EXPONENT):
+                raise ValueError("exponent of %.40r exceeds %d"
+                                 % (x, MAX_EXPONENT))
+        return Fraction(x)
+    # int before Fraction: isinstance against Fraction, an ABC, is slow
+    # for any other type
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError("not an exact rational: %r" % (x,))
 
 
 def rat_str(x):
     """Canonical 'p/q' form (q > 0, gcd = 1; integers keep '/1')."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -54,9 +87,10 @@ class Block:
         self.left = rat(left)
         self.right = rat(right)
         self.height = rat(height)
-        if not self.left < self.right:
-            raise ValueError("empty block [%s, %s]" % (self.left, self.right))
-        if self.height < 0:
+        l, r = self.left, self.right
+        if l.numerator * r.denominator >= r.numerator * l.denominator:
+            raise ValueError("empty block [%s, %s]" % (l, r))
+        if self.height.numerator < 0:
             raise ValueError("negative height")
 
     @property
@@ -75,29 +109,54 @@ class Block:
         return "Block(%s, %s, h=%s)" % (self.left, self.right, self.height)
 
 
+_left = itemgetter(0)
+
+
 class Valuation:
     """A probability measure with piecewise-constant density.
 
     Blocks are kept sorted and non-overlapping (touching endpoints are
     fine); total mass must be exactly 1 unless require_mass_one=False
     (used for rescaling helpers before renormalization and for sub-
-    measures such as the blocks of one interval).  The mass check's
-    pass also builds the prefix-mass table behind cdf.
+    measures such as the blocks of one interval).
+
+    The blocks are also kept on an integer grid: _grid[i] is
+    (left * E, right * E, height * H) for the lcm E of the endpoint
+    denominators and the lcm H of the height denominators.  The order,
+    overlap and mass-one checks run on those ints; the prefix-mass
+    table behind cdf is built the first time cdf is called.
     """
 
     def __init__(self, blocks, require_mass_one=True):
-        blocks = sorted(blocks, key=lambda b: (b.left, b.right))
-        for b0, b1 in zip(blocks, blocks[1:]):
-            if b1.left < b0.right:
-                raise ValueError("overlapping blocks %r, %r" % (b0, b1))
+        blocks = list(blocks)
+        E = lcm(*[x.denominator for b in blocks for x in (b.left, b.right)])
+        H = lcm(*[b.height.denominator for b in blocks])
+        grid = [(b.left.numerator * (E // b.left.denominator),
+                 b.right.numerator * (E // b.right.denominator),
+                 b.height.numerator * (H // b.height.denominator))
+                for b in blocks]
+        for g0, g1 in zip(grid, grid[1:]):
+            if g1[0] < g0[1]:         # unsorted or overlapping: sort, recheck
+                rows = sorted(zip(grid, blocks), key=lambda gb: gb[0][:2])
+                for (g0, b0), (g1, b1) in zip(rows, rows[1:]):
+                    if g1[0] < g0[1]:
+                        raise ValueError("overlapping blocks %r, %r"
+                                         % (b0, b1))
+                grid = [g for g, _ in rows]
+                blocks = [b for _, b in rows]
+                break
         self.blocks = tuple(blocks)
-        self._lefts = [b.left for b in blocks]
-        self._below = [Fraction(0)]       # _below[i] = mass of blocks[:i]
-        for b in blocks:
-            self._below.append(self._below[-1] + b.mass)
-        self.mass = self._below[-1]
-        if require_mass_one and self.mass != 1:
+        self._grid = grid
+        self._scale = (E, H)
+        self._below = None
+        self._mass = sum(h * (r - l) for l, r, h in self._grid)
+        if require_mass_one and self._mass != E * H:
             raise ValueError("total mass %s != 1" % (self.mass,))
+
+    @property
+    def mass(self):
+        E, H = self._scale
+        return Fraction(self._mass, E * H)
 
     @staticmethod
     def normalized(blocks):
@@ -118,13 +177,18 @@ class Valuation:
 
     def cdf(self, x):
         """mu((-inf, x]), exactly: one bisection over the block lefts."""
-        i = bisect_right(self._lefts, x) - 1
+        grid, (E, H) = self._grid, self._scale
+        if self._below is None:         # _below[i] = mass of blocks[:i] * EH
+            self._below = list(itertools.accumulate(
+                (h * (r - l) for l, r, h in grid), initial=0))
+        n, d = x.numerator, x.denominator
+        i = bisect_right(grid, n * E // d, key=_left) - 1
         if i < 0:
             return Fraction(0)
-        b = self.blocks[i]
-        if x >= b.right:
-            return self._below[i + 1]
-        return self._below[i] + b.height * (x - b.left)
+        l, r, h = grid[i]
+        if n * E >= r * d:
+            return Fraction(self._below[i + 1], E * H)
+        return Fraction(self._below[i] * d + h * (n * E - l * d), E * H * d)
 
     def mass_between(self, a, b):
         """mu([a, b]), exactly."""
@@ -136,8 +200,10 @@ class Valuation:
     def density_at(self, x):
         """Density at x; at a shared endpoint the right block wins."""
         x = rat(x)
-        i = bisect_right(self._lefts, x) - 1
-        if i >= 0 and x < self.blocks[i].right:
+        n, d = x.numerator, x.denominator
+        E = self._scale[0]
+        i = bisect_right(self._grid, n * E // d, key=_left) - 1
+        if i >= 0 and n * E < self._grid[i][1] * d:
             return self.blocks[i].height
         return Fraction(0)
 
@@ -168,9 +234,11 @@ class Instance:
         self.cut_budget = int(cut_budget)
         if self.cut_budget < 0:
             raise ValueError("negative cut budget")
+        M = self.domain_right
         for v in self.agents:
-            if v.support_left < 0 or v.support_right > self.domain_right:
-                raise ValueError("block outside [0, %s]" % self.domain_right)
+            if (v._grid[0][0] < 0 or v._grid[-1][1] * M.denominator
+                    > M.numerator * v._scale[0]):
+                raise ValueError("block outside [0, %s]" % M)
 
     @property
     def n(self):
@@ -192,11 +260,26 @@ class Instance:
             self.n, self.k, self.cut_budget, self.domain_right)
 
 
+class CutFrame:
+    """Sorted cuts on one integer scale: scale is the lcm of their
+    denominators and keys[i] = cuts[i] * scale, an int.  For any
+    rational x, bisect_right(keys, floor(x * scale)) counts the cuts
+    <= x and bisect_left(keys, ceil(x * scale)) the cuts < x, exactly."""
+
+    __slots__ = ("scale", "keys")
+
+    def __init__(self, cuts):
+        self.scale = D = lcm(*[c.denominator for c in cuts])
+        self.keys = [c.numerator * (D // c.denominator) for c in cuts]
+
+
 class Solution:
     def __init__(self, cuts, labels):
         self.cuts = tuple(rat(c) for c in cuts)
-        for c0, c1 in zip(self.cuts, self.cuts[1:]):
-            if c1 < c0:
+        self.frame = CutFrame(self.cuts)
+        keys = self.frame.keys
+        for k0, k1 in zip(keys, keys[1:]):
+            if k1 < k0:
                 raise ValueError("cuts not sorted")
         self.labels = tuple(labels)
         if len(self.labels) != len(self.cuts) + 1:
@@ -249,23 +332,25 @@ class BalanceReport:
             self.max_discrepancy, self.satisfied)
 
 
-def label_masses(v, cuts, labels, label_set, lo=None, hi=None):
-    """Exact mass of v on each label's part of [lo, hi] (unbounded
-    where None), as a dict over label_set.
-
-    cuts is a sorted sequence of rationals (repeats allowed) and
-    labels[i] labels the segment between cuts[i - 1] and cuts[i]; the
-    first and last segments run to -inf and +inf.  Each block of v that
-    meets [lo, hi] costs two bisections into the cuts plus one step per
-    cut strictly inside it, so the cuts between blocks are never
-    visited.  A label outside label_set on a visited segment is a
-    ValueError."""
-    m = dict.fromkeys(label_set, Fraction(0))
-    blocks = v.blocks
+def _label_sums(v, frame, labels, label_set, lo, hi):
+    """The measure kernel on ints: (sums, den) with sums[lab] / den the
+    mass of v on lab's part of [lo, hi].  Every position is an int in
+    units of 1/S, S the lcm of the cut scale, v's endpoint scale and the
+    denominators of lo and hi, so the clipping, both bisections and the
+    sums compare and add ints only."""
+    D, keys = frame.scale, frame.keys
+    E, H = v._scale
+    S = lcm(D, E, *[x.denominator for x in (lo, hi) if x is not None])
+    u, w = S // D, S // E
+    sums = dict.fromkeys(label_set, 0)
+    grid = v._grid
     if lo is not None:
-        blocks = blocks[max(bisect_right(v._lefts, lo) - 1, 0):]
-    for blk in blocks:
-        a, b = blk.left, blk.right
+        lo = lo.numerator * (S // lo.denominator)
+        grid = grid[max(bisect_right(grid, lo // w, key=_left) - 1, 0):]
+    if hi is not None:
+        hi = hi.numerator * (S // hi.denominator)
+    for l, r, h in grid:
+        a, b = l * w, r * w
         if hi is not None and hi < b:
             if hi <= a:
                 break
@@ -274,23 +359,46 @@ def label_masses(v, cuts, labels, label_set, lo=None, hi=None):
             if lo >= b:
                 continue
             a = lo
-        i = bisect_right(cuts, a)
-        j = bisect_left(cuts, b, i)
-        for y, lab in zip(list(cuts[i:j]) + [b], labels[i:j + 1]):
-            if lab not in m:
+        i = bisect_right(keys, a // u)
+        j = bisect_left(keys, -(-b // u), i)
+        for y, lab in zip([k * u for k in keys[i:j]] + [b], labels[i:j + 1]):
+            if lab not in sums:
                 raise ValueError("unknown label %r" % (lab,))
-            m[lab] += blk.height * (y - a)
+            sums[lab] += h * (y - a)
             a = y
-    return m
+    return sums, S * H
+
+
+def label_masses(v, cuts, labels, label_set, lo=None, hi=None):
+    """Exact mass of v on each label's part of [lo, hi] (unbounded
+    where None), as a dict over label_set.
+
+    cuts is a CutFrame or a sorted sequence of rationals (repeats
+    allowed), and labels[i] labels the segment between cuts[i - 1] and
+    cuts[i]; the first and last segments run to -inf and +inf.  Each
+    block of v that meets [lo, hi] costs two bisections into the cut
+    keys plus one step per cut strictly inside it, so the cuts between
+    blocks are never visited.  A label outside label_set on a visited
+    segment is a ValueError."""
+    if not isinstance(cuts, CutFrame):
+        cuts = CutFrame(cuts)
+    sums, den = _label_sums(v, cuts, labels, label_set, lo, hi)
+    return {lab: Fraction(x, den) for lab, x in sums.items()}
+
+
+def _signed_mass(v, s, lo=None, hi=None):
+    """mu(I+) - mu(I-) of v on [lo, hi] under the k=2 solution s."""
+    sums, den = _label_sums(v, s.frame, s.labels, (PLUS, MINUS), lo, hi)
+    return Fraction(sums[PLUS] - sums[MINUS], den)
 
 
 def balance(v, s, domain_right=None):
     """mu(I+) - mu(I-) over [0, domain_right], or over all of v when
     domain_right is None; a label other than + and - on a segment that
     meets v's support is a ValueError."""
-    lo, hi = (None, None) if domain_right is None else (0, rat(domain_right))
-    m = label_masses(v, s.cuts, s.labels, (PLUS, MINUS), lo, hi)
-    return m[PLUS] - m[MINUS]
+    if domain_right is None:
+        return _signed_mass(v, s)
+    return _signed_mass(v, s, 0, rat(domain_right))
 
 
 def grid_points(inst, m):
@@ -317,7 +425,7 @@ def verify(inst, s, eps):
     label discrepancy is <= eps."""
     check_solution(inst, s)
     labs = inst.labels()
-    masses = [label_masses(v, s.cuts, s.labels, labs) for v in inst.agents]
+    masses = [label_masses(v, s.frame, s.labels, labs) for v in inst.agents]
     return BalanceReport(masses, eps)
 
 
@@ -328,9 +436,7 @@ def encoded_value(s, left, domain_right=None):
     if domain_right is not None and (left < 0
                                      or left + 1 > rat(domain_right)):
         raise ValueError("interval outside domain")
-    m = label_masses(Valuation([Block(left, left + 1, 1)]), s.cuts,
-                     s.labels, (PLUS, MINUS))
-    return m[PLUS] - m[MINUS]
+    return _signed_mass(Valuation([Block(left, left + 1, 1)]), s)
 
 
 def rescale_to_unit(inst):
@@ -392,8 +498,11 @@ def solution_from_obj(obj):
     return Solution(obj["cuts"], obj["labels"])
 
 
+# dump_* write compact JSON through json.dumps, which uses the C encoder
+# (json.dump streams through the pure-Python one); load_* read any layout.
+
 def dump_instance(inst, fp):
-    json.dump(instance_to_obj(inst), fp, indent=1)
+    fp.write(json.dumps(instance_to_obj(inst), separators=(",", ":")))
     fp.write("\n")
 
 
@@ -402,7 +511,7 @@ def load_instance(fp):
 
 
 def dump_solution(s, fp):
-    json.dump(solution_to_obj(s), fp, indent=1)
+    fp.write(json.dumps(solution_to_obj(s), separators=(",", ":")))
     fp.write("\n")
 
 

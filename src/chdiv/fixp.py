@@ -488,7 +488,7 @@ def encoding_status(sol, left):
             and left + WELL_CUT_2[0] <= inside[1] <= left + WELL_CUT_2[1])
     xv = Valuation([Block(a, b, 1) for a, b in x_set(left)],
                    require_mass_one=False)
-    masses = label_masses(xv, sol.cuts, sol.labels, (A, B, C))
+    masses = label_masses(xv, sol.frame, sol.labels, (A, B, C))
     valid = well and masses[C] == 2
     value = (masses[A] - masses[B]) / 2 if valid else None
     return EncodingStatus(well, valid, value)

@@ -18,7 +18,7 @@ mass, which is what drives the loop.
 from fractions import Fraction
 
 from .core import (Instance, Solution, Valuation, Block, PLUS, MINUS,
-                   label_masses)
+                   CutFrame, label_masses)
 
 
 HALF = Fraction(1, 2)
@@ -61,9 +61,10 @@ class GreedyState:
     def matched_mass(self, v):
         """Value of v inside RRs that is paired off between the labels."""
         labels = [PLUS, MINUS] * (len(self.cuts) // 2 + 1)
+        frame = CutFrame(self.cuts)
         total = Fraction(0)
         for l, r in self.rrs:
-            m = label_masses(v, self.cuts, labels, (PLUS, MINUS), l, r)
+            m = label_masses(v, frame, labels, (PLUS, MINUS), l, r)
             total += 2 * min(m[PLUS], m[MINUS])
         return total
 

@@ -164,7 +164,7 @@ def enumerate_gate_cuts(inst, agent_index, fixed_cuts, labels,
         x = lo + i * step
         s = Solution(sorted(list(fixed_cuts) + [x]), labels)
         check_solution(inst, s)
-        masses = label_masses(v, s.cuts, s.labels, inst.labels())
+        masses = label_masses(v, s.frame, s.labels, inst.labels())
         if BalanceReport([masses], eps).satisfied:
             out.append((x, s))
     return out

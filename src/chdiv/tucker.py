@@ -698,8 +698,10 @@ def forward_place(compiled, x, const_sign=1):
 
 
 # ---------------------------------------------------------------------------
-# exact balance audits (core.balance bisects into the cuts once per block
-# and visits only the cuts inside it, not the whole solution)
+# exact balance audits: core.balance places each block among the cuts by
+# two bisections into the solution's integer cut keys (sol.frame) and
+# sums the cuts inside it in ints, so no Fraction is compared; a gate
+# that balances exactly skips the worst-balance comparison
 
 
 def balance_report(compiled, sol):
@@ -710,7 +712,7 @@ def balance_report(compiled, sol):
     worst = Fraction(0)
     for v in compiled.instance.agents[:len(compiled.gates)]:
         bal = balance(v, sol, dr)
-        if abs(bal) > abs(worst):
+        if bal and abs(bal) > abs(worst):
             worst = bal
     return worst == 0, worst, _feedback_census(compiled, sol)
 

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from chdiv.cli import main, _jobs
 from chdiv.core import (instance_from_obj, solution_from_obj,
                         solution_to_obj, verify)
+import chdiv
 from chdiv import fixp, oracle, tucker
 
 
@@ -141,11 +144,18 @@ def test_refine_recovers_exactness(tmp_path, capsys):
     assert verify(instance, refined, 0).satisfied
 
 
-def test_oracle_subcommand(tmp_path, capsys):
+def test_oracle_subcommand(tmp_path, capsys, monkeypatch):
+    # --jobs is capped at os.cpu_count(): pin the count so the parallel
+    # path runs, and the cap holds, on a host of any size
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     inst = gen_instance(tmp_path, capsys, seed="5", n="2")
     code, _, _ = run(capsys, "oracle", "--in", str(inst), "--eps", "1/2",
                      "--grid", "8", "--max-cuts", "2", "--jobs", "2")
     assert code == 0
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "oracle", "--in", str(inst), "--eps", "1/2",
+            "--grid", "8", "--max-cuts", "2", "--jobs", "3")
+    assert e.value.code == 1
     # eps 0 on a coarse foreign grid is typically impossible
     code, _, _ = run(capsys, "oracle", "--in", str(inst), "--eps", "0",
                      "--grid", "3", "--max-cuts", "1")
@@ -217,6 +227,36 @@ def test_bad_jobs_is_exit_1(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         run(capsys, *argv, "--jobs", "-3")
     assert e.value.code == 1
+
+
+def test_huge_exponent_is_exit_1(tmp_path, capsys):
+    # 1e5000 is just over the exponent cap and cheap to build, so a
+    # missing cap shows as a wrong exit code rather than a huge int
+    inst = gen_instance(tmp_path, capsys)
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "verify", "--in", str(inst), "--solution", str(inst),
+            "--eps", "1e5000")
+    assert e.value.code == 1
+    assert "not a rational" in capsys.readouterr().err
+    obj = json.loads(inst.read_text())
+    obj["agents"][0]["blocks"][0]["height"] = "1e-5000"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", "--in", str(bad), "--solution",
+                       str(bad), "--eps", "0")
+    assert code == 1 and "exceeds" in err
+
+
+@pytest.mark.parametrize("module", ["chdiv", "chdiv.cli"])
+def test_python_m_runs_without_warnings(module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chdiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "always", "-m", module,
+                           "--help"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: chdiv" in proc.stdout
+    assert "Warning" not in proc.stderr
 
 
 def test_verify_requires_eps(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import ast
 import json
 import io
+import math
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chdiv.core import (Block, Valuation, Instance, Solution, PLUS, MINUS,
                         balance, verify, label_masses, encoded_value, truncate,
@@ -38,6 +39,68 @@ def test_rat_coercion_and_canonical_string():
         rat(0.5)
 
 
+def test_rat_refuses_an_exponent_over_the_cap():
+    # just over the cap, so each string is cheap to build even if the
+    # cap were missing; far larger ones are refused the same way
+    for text in ["1e4301", "1E+4301", "-2.5e-4301", "1e4_301", " 1e5000 ",
+                 "1e000000000000000004301"]:
+        with pytest.raises(ValueError, match="exceeds"):
+            rat(text)
+    assert rat("1e4300") == 10 ** 4300
+    assert rat("1e-04300") == F(1, 10 ** 4300)
+    assert rat("25e-1") == F(5, 2)
+
+
+digit_runs = st.text(alphabet="0123456789_\u0663\u06f5", max_size=5)
+signs = st.sampled_from(["", "-", "+", "+-"])
+spaces = st.sampled_from(["", "", "", "", " ", "\t\n", "\u2003", "\x1c"])
+
+
+@st.composite
+def rational_strings(draw):
+    """Integer, p/q and decimal forms with whitespace, signs, leading
+    zeros, underscores, non-ASCII digits, zero denominators and (small)
+    exponents, well-formed or not."""
+    text = draw(spaces) + draw(signs) + draw(digit_runs)
+    form = draw(st.sampled_from(["int", "ratio", "decimal"]))
+    if form == "ratio":
+        text += draw(spaces) + "/" + draw(spaces) + draw(signs)
+        text += draw(st.sampled_from(["0", "00", "1", "7"])
+                     | digit_runs)
+    elif form == "decimal":
+        if draw(st.booleans()):
+            text += "." + draw(digit_runs)
+        if draw(st.booleans()):
+            text += draw(st.sampled_from("eE")) + draw(signs)
+            text += draw(st.text(alphabet="0123456789_", max_size=3))
+    return text + draw(spaces)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@settings(max_examples=600, deadline=None)
+@given(rational_strings()
+       | st.text(alphabet="0123456789-+/._ \u0663", max_size=10))
+@example("1/-2")
+@example("1/+2")
+@example("+1/2")
+@example(" 1/2")
+@example("1 /2")
+@example("1/0")
+@example("-0/07")
+@example("\u0663/4")
+@example("1_0/3")
+@example("-")
+def test_property_rat_parses_strings_like_fraction(text):
+    got, ref = _outcome(rat, text), _outcome(Fraction, text)
+    assert type(got) is type(ref) and got == ref
+
+
 def test_truncate_clamps_to_unit_interval():
     assert truncate(F(3, 2)) == 1
     assert truncate(F(-3, 10)) == F(-3, 10)
@@ -58,9 +121,16 @@ def test_valuation_rejects_overlap_and_wrong_mass():
         Valuation([Block(0, F(1, 2), 1), Block(F(1, 4), 1, 1)])
     with pytest.raises(ValueError):
         Valuation([Block(0, 1, 2)])
-    # touching endpoints are fine
+    # overlapping with total mass exactly 1, given in either order
+    for pair in ([Block(0, F(1, 2), 1), Block(F(1, 4), F(3, 4), 1)],
+                 [Block(F(1, 4), F(3, 4), 1), Block(0, F(1, 2), 1)]):
+        with pytest.raises(ValueError, match="overlapping"):
+            Valuation(pair)
+    # touching endpoints are fine, and blocks are kept sorted
     v = Valuation([Block(0, F(1, 2), 1), Block(F(1, 2), 1, 1)])
     assert v.mass == 1
+    w = Valuation([Block(F(1, 2), 1, 1), Block(0, F(1, 2), 1)])
+    assert w == v and w.cdf(F(1, 4)) == F(1, 4)
 
 
 def test_valuation_normalized_and_queries():
@@ -207,8 +277,11 @@ def test_instance_json_round_trip():
     assert instance_from_obj(json.loads(json.dumps(obj))) == inst
     buf = io.StringIO()
     dump_instance(inst, buf)
+    assert "\n" not in buf.getvalue().rstrip("\n")   # compact
     buf.seek(0)
     assert load_instance(buf) == inst
+    # files written indented load the same
+    assert load_instance(io.StringIO(json.dumps(obj, indent=1))) == inst
 
 
 def test_solution_json_round_trip():
@@ -220,6 +293,7 @@ def test_solution_json_round_trip():
     dump_solution(s, buf)
     buf.seek(0)
     assert load_solution(buf) == s
+    assert load_solution(io.StringIO(json.dumps(obj, indent=1))) == s
 
 
 # --- properties ------------------------------------------------------------
@@ -318,17 +392,29 @@ def naive_label_masses(v, cuts, labels, label_set, lo, hi):
     return m
 
 
+# cuts over large, pairwise-coprime denominators, so the cut frame's
+# scale is their product, and block endpoints over other primes, which
+# lie off that frame
+COPRIME = [2 ** 61 - 1, 10 ** 9 + 7, 998244353, 1000003]
+coprime_cuts = st.sampled_from(COPRIME).flatmap(
+    lambda q: st.integers(0, 2 * q).map(lambda n: F(n, q)))
+off_frame = st.sampled_from([1009, 7919, 104729]).flatmap(
+    lambda q: st.integers(q // 4, 7 * q // 4).map(lambda n: F(n, q)))
+
+
 @st.composite
 def kernel_cases(draw):
     """Valuations on [0, 2] built from runs of touching blocks, with cut
-    sequences that repeat, land on block endpoints or fall outside the
-    support, and arbitrary labels from a k-label alphabet."""
+    sequences that repeat, land on block endpoints, fall outside the
+    support or sit over large coprime denominators, block endpoints off
+    the cuts' integer frame, and arbitrary labels from a k-label
+    alphabet."""
     k = draw(st.sampled_from([2, 3]))
     agents = []
     for _ in range(draw(st.integers(1, 3))):
         pts = sorted(draw(st.lists(
             st.fractions(min_value=F(1, 4), max_value=F(7, 4),
-                         max_denominator=12),
+                         max_denominator=12) | off_frame,
             min_size=2, max_size=6, unique=True)))
         spans = [(l, r) for l, r in zip(pts, pts[1:]) if draw(st.booleans())]
         spans = spans or [(pts[0], pts[1])]
@@ -339,10 +425,11 @@ def kernel_cases(draw):
                         for e in (b.left, b.right)})
     anywhere = st.fractions(min_value=0, max_value=2, max_denominator=16)
     cuts = sorted(draw(st.lists(st.one_of(st.sampled_from(endpoints),
-                                          anywhere), max_size=8)))
+                                          anywhere, coprime_cuts),
+                                max_size=8)))
     labels = draw(st.lists(st.sampled_from(inst.labels()),
                            min_size=len(cuts) + 1, max_size=len(cuts) + 1))
-    lo, hi = draw(anywhere), draw(anywhere)
+    lo, hi = draw(anywhere | coprime_cuts), draw(anywhere | coprime_cuts)
     return inst, Solution(cuts, labels), lo, hi
 
 
@@ -366,6 +453,33 @@ def test_property_kernel_matches_naive_overlap_sum(case):
     assert rep.masses == whole
     assert rep.per_agent_discrepancy == [max(m.values()) - min(m.values())
                                          for m in whole]
+
+
+def test_kernel_at_the_edges_of_the_integer_frames():
+    # cuts and clip bounds one step of a large prime's frame away from a
+    # block endpoint, next to touching blocks: the floor and ceil
+    # placements must count exactly the cuts on each side
+    v = Valuation.normalized([Block(F(1, 3), F(1, 2), 2),
+                              Block(F(1, 2), F(5, 6), 1),
+                              Block(1, F(7, 5), 3)])
+    ends = sorted({e for b in v.blocks for e in (b.left, b.right)})
+    labs = [PLUS, MINUS]
+    for q in COPRIME + [7]:
+        near = sorted({F(f(e * q), q) for e in ends
+                       for f in (math.floor, math.ceil)})
+        for c in near:
+            for cuts in ([c], [c, c + F(1, q)], [c - F(1, q), c]):
+                labels = [PLUS, MINUS, PLUS][:len(cuts) + 1]
+                assert label_masses(v, cuts, labels, labs) == \
+                    naive_label_masses(v, cuts, labels, labs, -1, 3)
+            for lo, hi in ((c, 3), (-1, c), (c, c + F(1, q)), (c, 1)):
+                assert label_masses(v, near, labels_for(near), labs,
+                                    lo, hi) == naive_label_masses(
+                    v, near, labels_for(near), labs, lo, hi)
+
+
+def labels_for(cuts):
+    return [PLUS if i % 2 == 0 else MINUS for i in range(len(cuts) + 1)]
 
 
 def test_package_has_no_floating_point():

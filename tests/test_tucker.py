@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -251,6 +252,31 @@ def test_balance_without_a_domain_does_not_clip(compiled_1d):
     feedback = inst.agents[-1]
     assert balance(feedback, sol) == F(-8191, 32768)
     assert balance(feedback, sol, inst.domain_right) == F(-8191, 32768)
+
+
+def test_balance_report_compares_no_fractions(compiled_1d, monkeypatch):
+    # the kernel places every block among the cuts by bisecting the
+    # solution's integer cut keys; bisecting the Fraction cuts instead
+    # took about 20 comparisons per block
+    comp = compiled_1d
+    sol = forward_place(comp, [F(-1, 32)])
+    counts = collections.Counter()
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, _cmp=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _cmp(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    dr = comp.instance.domain_right
+    for v in comp.instance.agents:
+        balance(v, sol, dr)
+    assert not counts
+    ok, worst, feedback = balance_report(comp, sol)
+    blocks = sum(len(v.blocks) for v in comp.instance.agents)
+    monkeypatch.undo()
+    assert ok and worst == 0 and len(feedback) == 1
+    # every gate balances exactly here, so the only comparison left is
+    # the final worst == 0
+    assert blocks > 900 and sum(counts.values()) <= 1, counts
 
 
 def test_find_solution_1d(compiled_1d):
