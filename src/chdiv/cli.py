@@ -12,10 +12,16 @@ import sys
 import time
 from fractions import Fraction
 
-from . import core, dp, greedy, lp, oracle, tucker, fixp
-from .core import (Instance, Valuation, Block, rat, rat_str,
-                   instance_to_obj, instance_from_obj, solution_to_obj,
-                   solution_from_obj, verify, disjoint_copies)
+from . import dp, gen, greedy, lp, oracle, tucker, fixp
+from .core import (rat, rat_str, instance_to_obj, instance_from_obj,
+                   solution_to_obj, solution_from_obj, verify,
+                   disjoint_copies)
+
+# `gen` size caps (lo, hi) per option, far above any desk-scale use.
+# They bound what the random kinds and copies write; tucker-demo's
+# compile grows much faster than its --n and is not bounded by them.
+GEN_CAPS = {"n": (0, 10_000), "d": (1, 64), "grid": (1, 10 ** 6),
+            "c": (0, 1_000)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,18 +38,27 @@ def _frac(text):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
+def _int_in(text, lo, hi, what):
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(
+            "%s must be an integer in %d..%d, got %r" % (what, lo, hi, text))
+    return value
+
+
 def _jobs(text):
     """A worker count for --jobs or CONSENSUS_CUT_JOBS: 1..os.cpu_count()."""
-    cap = os.cpu_count() or 1
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = None
-    if jobs is None or not 1 <= jobs <= cap:
-        raise argparse.ArgumentTypeError(
-            "jobs must be an integer in 1..%d (--jobs or CONSENSUS_CUT_JOBS),"
-            " got %r" % (cap, text))
-    return jobs
+    return _int_in(text, 1, os.cpu_count() or 1,
+                   "jobs (--jobs or CONSENSUS_CUT_JOBS)")
+
+
+def _gen_cap(name):
+    """The argparse type of `gen --<name>`: an integer within GEN_CAPS."""
+    lo, hi = GEN_CAPS[name]
+    return lambda text: _int_in(text, lo, hi, "gen --" + name)
 
 
 def _load_json(path):
@@ -52,10 +67,12 @@ def _load_json(path):
 
 
 def _write_json(obj, path):
+    # compact, through the C encoder (json.dump and indent= take the
+    # pure-Python one); _load_json and core.load_* read any layout
     if path is None:
         return
     with open(path, "w") as fp:
-        json.dump(obj, fp, indent=1, sort_keys=True)
+        fp.write(json.dumps(obj, separators=(",", ":"), sort_keys=True))
         fp.write("\n")
 
 
@@ -90,24 +107,18 @@ def cmd_solve(args):
         sol = greedy.solve_half(inst)
         eps = args.eps if args.eps is not None else Fraction(1, 2)
     elif args.algo == "dp":
-        if args.eps is None:
-            print("solve --algo dp requires --eps", file=sys.stderr)
-            return 1
         res = dp.dp_solve(inst, args.eps, m=args.grid)
         if not res.feasible:
             _emit({"feasible": False, "states_visited": res.states_visited,
                    "m": res.m}, args)
             return 2
         sol, eps = res.solution, args.eps
-    elif args.algo == "lp":
+    else:
         sol = lp.solve_with_budget(inst, args.ell)
         if sol is None:
             _emit({"feasible": False}, args)
             return 2
         eps = args.eps if args.eps is not None else Fraction(0)
-    else:
-        print("unknown algorithm %r" % args.algo, file=sys.stderr)
-        return 1
     report = _report_solution(inst, sol, eps, t0)
     _write_json(solution_to_obj(sol), args.out)
     if args.csv:
@@ -226,53 +237,21 @@ def cmd_oracle(args):
     return 0
 
 
-def _gen_single_block(rng, n, M):
-    agents = []
-    for _ in range(n):
-        a = rng.randrange(0, M)
-        b = rng.randrange(a + 1, M + 1)
-        left, right = Fraction(a, M), Fraction(b, M)
-        agents.append(Valuation([Block(left, right, 1 / (right - left))]))
-    return Instance(agents, k=2)
-
-
-def _gen_dblock(rng, n, d, M):
-    agents = []
-    for _ in range(n):
-        j = rng.randrange(1, d + 1)
-        pts = sorted(rng.sample(range(M + 1), 2 * j))
-        blocks = []
-        total = Fraction(0)
-        for t in range(j):
-            l, r = Fraction(pts[2 * t], M), Fraction(pts[2 * t + 1], M)
-            if r > l:
-                blocks.append((l, r))
-                total += r - l
-        if not blocks:
-            blocks, total = [(Fraction(0), Fraction(1))], Fraction(1)
-        h = 1 / total
-        agents.append(Valuation([Block(l, r, h) for l, r in blocks]))
-    return Instance(agents, k=2)
-
-
 def cmd_gen(args):
     rng = random.Random(args.seed)
     if args.kind == "random-single-block":
-        inst = _gen_single_block(rng, args.n, args.grid)
+        inst = gen.random_single_block_instance(rng, args.n, args.grid)
     elif args.kind == "random-dblock":
-        inst = _gen_dblock(rng, args.n, args.d, args.grid)
+        inst = gen.random_dblock_instance(rng, args.n, args.d, args.grid)
     elif args.kind == "copies":
         base = instance_from_obj(_load_json(args.infile))
         inst = disjoint_copies(base, args.c)
-    elif args.kind == "tucker-demo":
+    else:
         eps = args.eps
         if eps is None:
             eps = Fraction(1, (2 ** 14) * args.n * args.n)
         lab = tucker.demo_labeling(args.n)
         inst = tucker.compile_tucker(lab, eps).instance
-    else:
-        print("unknown kind %r" % args.kind, file=sys.stderr)
-        return 1
     _write_json(instance_to_obj(inst), args.out)
     _emit({"agents": inst.n, "k": inst.k,
            "domain_right": rat_str(inst.domain_right)}, args)
@@ -293,9 +272,8 @@ def build_parser():
         sp.add_argument("--csv", action="store_true",
                         help="plot-ready CSV on stdout")
         sp.add_argument("--out", help="output file (JSON)")
-        sp.add_argument("--jobs", type=_jobs,
-                        default=os.environ.get("CONSENSUS_CUT_JOBS", "1"))
-        sp.add_argument("--seed", type=int, default=0)
+        # default None: main reads CONSENSUS_CUT_JOBS on every call
+        sp.add_argument("--jobs", type=_jobs, default=None)
         if eps:
             sp.add_argument("--eps", type=_frac, default=None)
         if infile:
@@ -363,10 +341,11 @@ def build_parser():
     sp.add_argument("--kind", required=True,
                     choices=["random-single-block", "random-dblock",
                              "copies", "tucker-demo"])
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--grid", type=int, default=64,
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_gen_cap("n"), default=2)
+    sp.add_argument("--d", type=_gen_cap("d"), default=2)
+    sp.add_argument("--c", type=_gen_cap("c"), default=1)
+    sp.add_argument("--grid", type=_gen_cap("grid"), default=64,
                     help="endpoint grid denominator")
     sp.add_argument("--in", dest="infile", help="base instance for "
                     "kind=copies")
@@ -374,9 +353,21 @@ def build_parser():
     return p
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the tree is built on the first call, not at import, and reused:
+    # parse_args makes a fresh Namespace per call and keeps no state
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    if args.jobs is None:
+        try:
+            args.jobs = _jobs(os.environ.get("CONSENSUS_CUT_JOBS", "1"))
+        except argparse.ArgumentTypeError as e:
+            _parser.error(str(e))
     if args.command == "verify" and args.eps is None:
         print("verify requires --eps", file=sys.stderr)
         return 1

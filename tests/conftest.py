@@ -2,41 +2,13 @@
 
 from fractions import Fraction
 
-from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
+from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         balance, label_masses, verify)
+from chdiv.gen import random_single_block_instance, random_dblock_instance
 from chdiv import greedy
 
 
 HALF = Fraction(1, 2)
-
-
-def random_single_block_instance(rng, n, M=64):
-    """n single-block agents with endpoints on the 1/M grid."""
-    agents = []
-    for _ in range(n):
-        a = rng.randrange(0, M)
-        b = rng.randrange(a + 1, M + 1)
-        left, right = Fraction(a, M), Fraction(b, M)
-        agents.append(Valuation([Block(left, right, 1 / (right - left))]))
-    return Instance(agents, k=2)
-
-
-def random_dblock_instance(rng, n, d=3, M=64):
-    """n agents with up to d equal-height blocks each."""
-    agents = []
-    for _ in range(n):
-        j = rng.randrange(1, d + 1)
-        pts = sorted(rng.sample(range(M + 1), 2 * j))
-        blocks = []
-        for t in range(j):
-            l, r = Fraction(pts[2 * t], M), Fraction(pts[2 * t + 1], M)
-            if r > l:
-                blocks.append((l, r))
-        if not blocks:
-            blocks = [(Fraction(0), Fraction(1))]
-        total = sum(r - l for l, r in blocks)
-        agents.append(Valuation([Block(l, r, 1 / total) for l, r in blocks]))
-    return Instance(agents, k=2)
 
 
 def alternating_solution(cuts):

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from chdiv.cli import main, _jobs
-from chdiv.core import (instance_from_obj, solution_from_obj,
-                        solution_to_obj, verify)
+from chdiv.cli import main, _jobs, _gen_cap, GEN_CAPS
+from chdiv.core import (instance_from_obj, instance_to_obj, load_instance,
+                        load_solution, solution_from_obj, solution_to_obj,
+                        verify)
 import chdiv
-from chdiv import fixp, oracle, tucker
+from chdiv import cli, fixp, oracle, tucker
 
 
 F = Fraction
@@ -226,6 +227,104 @@ def test_bad_jobs_is_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CONSENSUS_CUT_JOBS")
     with pytest.raises(SystemExit) as e:
         run(capsys, *argv, "--jobs", "-3")
+    assert e.value.code == 1
+
+
+def test_jobs_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # a parser built with the environment's value as its --jobs default
+    # would keep the first call's value for every later call
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("CONSENSUS_CUT_JOBS", "1")
+    inst = gen_instance(tmp_path, capsys, n="2")
+    seen = []
+    monkeypatch.setattr(oracle, "brute_force",
+                        lambda inst, eps, cfg, jobs: seen.append(jobs))
+    argv = ["oracle", "--in", str(inst), "--eps", "1/2", "--grid", "4",
+            "--max-cuts", "1"]
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("CONSENSUS_CUT_JOBS", jobs)
+        assert run(capsys, *argv)[0] == 2
+    assert run(capsys, *argv, "--jobs", "1")[0] == 2
+    monkeypatch.delenv("CONSENSUS_CUT_JOBS")
+    assert run(capsys, *argv)[0] == 2
+    assert seen == [1, 2, 1, 1]
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    inst = gen_instance(tmp_path, capsys)
+    solp = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "solve", "--in", str(inst), "--out", str(solp))
+    assert code == 0
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "verify", "--in", str(inst), "--solution", str(solp),
+            "--eps", "not-a-number")
+    assert e.value.code == 1
+    # the cached parser still works after argparse exited
+    code, _, _ = run(capsys, "verify", "--in", str(inst), "--solution",
+                     str(solp), "--eps", "1/2")
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_no_option_leaks_between_calls(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    code, out, _ = run(capsys, "solve", "--in", str(inst), "--json")
+    assert code == 0 and json.loads(out)["satisfied"] is True
+    code, out, _ = run(capsys, "solve", "--in", str(inst))
+    assert code == 0
+    assert "satisfied: True" in out.splitlines()
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+def test_out_files_are_compact_sorted_json(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys, n="4")
+    solp = tmp_path / "sol.json"
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(solp))[0] == 0
+    for path, load, to_obj in ((inst, load_instance, instance_to_obj),
+                               (solp, load_solution, solution_to_obj)):
+        text = path.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, separators=(",", ":"),
+                                  sort_keys=True) + "\n"
+        with open(path) as fp:
+            assert to_obj(load(fp)) == obj
+
+
+def test_gen_caps_admit_desk_sizes_and_reject_the_rest():
+    # the largest values the tests and the benchmark pass, by option
+    used = {"n": 50, "d": 3, "grid": 64, "c": 24}
+    for name, (lo, hi) in GEN_CAPS.items():
+        parse = _gen_cap(name)
+        assert hi >= 10 * used[name]
+        assert parse(str(lo)) == lo and parse(str(hi)) == hi
+        assert parse(str(used[name])) == used[name]
+        for bad in (str(lo - 1), str(hi + 1), "1" * 5000, "abc", "2.0", ""):
+            with pytest.raises(argparse.ArgumentTypeError) as e:
+                parse(bad)
+            assert "--" + name in str(e.value)
+
+
+def test_gen_over_a_cap_is_exit_1(tmp_path, capsys):
+    # argparse rejects the value before any generator runs
+    for name in GEN_CAPS:
+        with pytest.raises(SystemExit) as e:
+            run(capsys, "gen", "--kind", "random-single-block",
+                "--" + name, str(GEN_CAPS[name][1] + 1))
+        assert e.value.code == 1
+        assert "gen --" + name in capsys.readouterr().err
+
+
+def test_seed_is_a_gen_option_only(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "solve", "--in", str(inst), "--seed", "1")
     assert e.value.code == 1
 
 
