@@ -19,9 +19,12 @@ from .core import (rat, rat_str, instance_to_obj, instance_from_obj,
 
 # `gen` size caps (lo, hi) per option, far above any desk-scale use.
 # They bound what the random kinds and copies write; tucker-demo's
-# compile grows much faster than its --n and is not bounded by them.
+# compile grows much faster than its --n and is bounded by TUCKER_N.
 GEN_CAPS = {"n": (0, 10_000), "d": (1, 64), "grid": (1, 10 ** 6),
             "c": (0, 1_000)}
+# the Tucker dimension N of compile-tucker, decode-tucker and gen --kind
+# tucker-demo: N = 4 already compiles to 37,380 agents
+TUCKER_N = (1, 4)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +62,15 @@ def _gen_cap(name):
     """The argparse type of `gen --<name>`: an integer within GEN_CAPS."""
     lo, hi = GEN_CAPS[name]
     return lambda text: _int_in(text, lo, hi, "gen --" + name)
+
+
+def _tucker_n(n):
+    """n if it lies in TUCKER_N, else a ValueError (exit 1)."""
+    lo, hi = TUCKER_N
+    if not lo <= n <= hi:
+        raise ValueError("tucker dimension --n must be in %d..%d, got %d"
+                         % (lo, hi, n))
+    return n
 
 
 def _load_json(path):
@@ -157,11 +169,12 @@ def cmd_refine(args):
 
 
 def _load_labeling(args):
+    n = _tucker_n(args.n)
     if args.circuit is not None:
         with open(args.circuit) as fp:
             circ = tucker.BoolCircuit.parse(fp.read())
-        return tucker.TuckerLabeling(args.n, circ)
-    return tucker.demo_labeling(args.n)
+        return tucker.TuckerLabeling(n, circ)
+    return tucker.demo_labeling(n)
 
 
 def cmd_compile_tucker(args):
@@ -247,10 +260,11 @@ def cmd_gen(args):
         base = instance_from_obj(_load_json(args.infile))
         inst = disjoint_copies(base, args.c)
     else:
+        n = _tucker_n(args.n)
         eps = args.eps
         if eps is None:
-            eps = Fraction(1, (2 ** 14) * args.n * args.n)
-        lab = tucker.demo_labeling(args.n)
+            eps = Fraction(1, (2 ** 14) * n * n)
+        lab = tucker.demo_labeling(n)
         inst = tucker.compile_tucker(lab, eps).instance
     _write_json(instance_to_obj(inst), args.out)
     _emit({"agents": inst.n, "k": inst.k,

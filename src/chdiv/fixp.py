@@ -10,8 +10,10 @@ X(I) = I[0,1] u I[2,4] u I[5,7] u I[8,9] carries a value in [-1,1]
 between intervals.
 """
 
+import operator
 from fractions import Fraction
 
+from .circuit import Circuit
 from .core import (Instance, Valuation, Block, Solution, label_masses,
                    truncate, rat, KLABELS)
 
@@ -29,152 +31,50 @@ WELL_CUT_2 = (Fraction(19, 4), Fraction(29, 4))
 # circuits
 
 
-class TruncCircuit:
-    """Straight-line circuit over truncated addition and truncated
-    multiplication by a rational, mapping [-1,1]^2 to [-1,1]^2.
-    gates: list of ("ADD", a, b, out) | ("MUL", zeta, a, out) |
-    ("CONST", zeta, out)."""
+class _PlaneCircuit(Circuit):
+    """A circuit from the plane to the plane: two inputs, two outputs."""
+
+    OPS = {"ADD": (0, 2), "MUL": (1, 1), "CONST": (1, 0)}
 
     def __init__(self, inputs, gates, outputs):
-        self.inputs = list(inputs)
-        self.gates = list(gates)
-        self.outputs = list(outputs)
+        super().__init__(inputs, gates, outputs)
         if len(self.inputs) != 2 or len(self.outputs) != 2:
             raise ValueError("circuit must have two inputs and two outputs")
-        defined = set(self.inputs)
-        for g in self.gates:
-            if g[0] == "ADD":
-                _, a, b, out = g
-                args = (a, b)
-            elif g[0] == "MUL":
-                _, z, a, out = g
-                args = (a,)
-            elif g[0] == "CONST":
-                _, z, out = g
-                args = ()
-                if not -1 <= rat(z) <= 1:
-                    raise ValueError("constant %s outside [-1, 1]" % (z,))
-            else:
-                raise ValueError("unknown gate %r" % (g[0],))
-            for w in args:
-                if w not in defined:
-                    raise ValueError("wire %r used before definition" % (w,))
-            if out in defined:
-                raise ValueError("wire %r defined twice" % (out,))
-            defined.add(out)
-        for w in self.outputs:
-            if w not in defined:
-                raise ValueError("undefined output wire %r" % (w,))
 
-    def format(self):
-        lines = ["IN %s" % w for w in self.inputs]
-        for g in self.gates:
-            if g[0] == "ADD":
-                lines.append("ADD %s %s -> %s" % g[1:])
-            elif g[0] == "MUL":
-                z = rat(g[1])
-                lines.append("MUL %d/%d %s -> %s"
-                             % (z.numerator, z.denominator, g[2], g[3]))
-            else:
-                z = rat(g[1])
-                lines.append("CONST %d/%d -> %s"
-                             % (z.numerator, z.denominator, g[2]))
-        lines += ["OUT %s" % w for w in self.outputs]
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse(cls, text):
-        inputs, gates, outputs = [], [], []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            p = line.split()
-            try:
-                if p[0] == "IN" and len(p) == 2:
-                    inputs.append(p[1])
-                elif p[0] == "OUT" and len(p) == 2:
-                    outputs.append(p[1])
-                elif p[0] == "ADD" and len(p) == 5 and p[3] == "->":
-                    gates.append(("ADD", p[1], p[2], p[4]))
-                elif p[0] == "MUL" and len(p) == 5 and p[3] == "->":
-                    gates.append(("MUL", Fraction(p[1]), p[2], p[4]))
-                elif p[0] == "CONST" and len(p) == 4 and p[2] == "->":
-                    gates.append(("CONST", Fraction(p[1]), p[3]))
-                else:
-                    raise ValueError
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("bad circuit line %d: %r" % (lineno, raw))
-        return cls(inputs, gates, outputs)
+class TruncCircuit(_PlaneCircuit):
+    """Straight-line circuit over truncated addition, truncated
+    multiplication by a rational and constants in [-1,1], mapping
+    [-1,1]^2 to [-1,1]^2: gates ("ADD", (a, b), out),
+    ("MUL", (zeta, a), out) and ("CONST", (zeta,), out)."""
+
+    def __init__(self, inputs, gates, outputs):
+        super().__init__(inputs, gates, outputs)
+        for op, args, out in self.gates:
+            if op == "CONST" and not -1 <= args[0] <= 1:
+                raise ValueError("constant %s outside [-1, 1]" % args[0])
 
 
 def eval_trunc(circuit, x):
     """Exact evaluation of the circuit at x in [-1,1]^2."""
-    if len(x) != 2:
-        raise ValueError("expected a 2d point")
-    val = {w: truncate(v) for w, v in zip(circuit.inputs, x)}
-    for g in circuit.gates:
-        if g[0] == "ADD":
-            val[g[3]] = truncate(val[g[1]] + val[g[2]])
-        elif g[0] == "MUL":
-            val[g[3]] = truncate(rat(g[1]) * val[g[2]])
-        else:
-            val[g[2]] = rat(g[1])
-    return tuple(val[w] for w in circuit.outputs)
+    return tuple(circuit.run([truncate(v) for v in x],
+                             {"ADD": lambda a, b: truncate(a + b),
+                              "MUL": lambda z, a: truncate(z * a),
+                              "CONST": lambda z: z}))
 
 
-class LinFixpCircuit:
+class LinFixpCircuit(_PlaneCircuit):
     """Circuit over plain addition, multiplication by a rational, and
-    binary max, with rational constants, on [0,1]^2.  Same gate tuples
-    as TruncCircuit plus ("MAX", a, b, out)."""
+    binary max, with rational constants, on [0,1]^2.  Same gates as
+    TruncCircuit plus ("MAX", (a, b), out)."""
 
-    def __init__(self, inputs, gates, outputs):
-        self.inputs = list(inputs)
-        self.gates = list(gates)
-        self.outputs = list(outputs)
-        if len(self.inputs) != 2 or len(self.outputs) != 2:
-            raise ValueError("circuit must have two inputs and two outputs")
-
-    @classmethod
-    def parse(cls, text):
-        inputs, gates, outputs = [], [], []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            p = line.split()
-            try:
-                if p[0] == "IN" and len(p) == 2:
-                    inputs.append(p[1])
-                elif p[0] == "OUT" and len(p) == 2:
-                    outputs.append(p[1])
-                elif p[0] == "ADD" and len(p) == 5 and p[3] == "->":
-                    gates.append(("ADD", p[1], p[2], p[4]))
-                elif p[0] == "MAX" and len(p) == 5 and p[3] == "->":
-                    gates.append(("MAX", p[1], p[2], p[4]))
-                elif p[0] == "MUL" and len(p) == 5 and p[3] == "->":
-                    gates.append(("MUL", Fraction(p[1]), p[2], p[4]))
-                elif p[0] == "CONST" and len(p) == 4 and p[2] == "->":
-                    gates.append(("CONST", Fraction(p[1]), p[3]))
-                else:
-                    raise ValueError
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("bad circuit line %d: %r" % (lineno, raw))
-        return cls(inputs, gates, outputs)
+    OPS = dict(_PlaneCircuit.OPS, MAX=(0, 2))
 
 
 def eval_linfixp(circuit, x):
-    val = dict(zip(circuit.inputs, (rat(v) for v in x)))
-    for g in circuit.gates:
-        if g[0] == "ADD":
-            val[g[3]] = val[g[1]] + val[g[2]]
-        elif g[0] == "MAX":
-            val[g[3]] = max(val[g[1]], val[g[2]])
-        elif g[0] == "MUL":
-            val[g[3]] = rat(g[1]) * val[g[2]]
-        else:
-            val[g[2]] = rat(g[1])
-    return tuple(val[w] for w in circuit.outputs)
+    return tuple(circuit.run([rat(v) for v in x],
+                             {"ADD": operator.add, "MAX": max,
+                              "MUL": operator.mul, "CONST": lambda z: z}))
 
 
 class _WireGen:
@@ -198,84 +98,76 @@ def to_truncated(circuit):
     (undone at the outputs), then expand max gates through the
     truncated-max identities.  Fixed points of the result are exactly
     the fixed points of the input on [0,1]^2."""
-    wires = set(circuit.inputs)
-    for g in circuit.gates:
-        wires.add(g[-1])
-    gen = _WireGen(wires)
+    gen = _WireGen(circuit.inputs + [out for _, _, out in circuit.gates])
     gates = list(circuit.gates)
     # clamp outputs into [0, 1]: max{-max{-1, -x}, 0}
     outs = []
     for w in circuit.outputs:
         nw = gen.fresh()
-        gates.append(("MUL", Fraction(-1), w, nw))
+        gates.append(("MUL", (Fraction(-1), w), nw))
         m1 = gen.fresh()
         cm1 = gen.fresh()
-        gates.append(("CONST", Fraction(-1), cm1))
-        gates.append(("MAX", cm1, nw, m1))
+        gates.append(("CONST", (Fraction(-1),), cm1))
+        gates.append(("MAX", (cm1, nw), m1))
         neg = gen.fresh()
-        gates.append(("MUL", Fraction(-1), m1, neg))
+        gates.append(("MUL", (Fraction(-1), m1), neg))
         zero = gen.fresh()
-        gates.append(("CONST", Fraction(0), zero))
+        gates.append(("CONST", (Fraction(0),), zero))
         clamped = gen.fresh()
-        gates.append(("MAX", neg, zero, clamped))
+        gates.append(("MAX", (neg, zero), clamped))
         outs.append(clamped)
     # scale: |values| <= c^(n+1) =: M, so divide constants and inputs
     # by M and multiply the outputs back
-    c = Fraction(2)
-    for g in gates:
-        if g[0] in ("MUL", "CONST"):
-            c = max(c, abs(rat(g[1])))
+    c = max([Fraction(2)] + [abs(args[0]) for op, args, _ in gates
+                             if op in ("MUL", "CONST")])
     M = c ** (len(gates) + 1)
     scaled = []
     in_map = {}
     for w in circuit.inputs:
         nw = gen.fresh()
         in_map[w] = nw
-        scaled.append(("MUL", 1 / M, w, nw))
-
-    def src(w):
-        return in_map.get(w, w)
-
-    for g in gates:
-        if g[0] == "CONST":
-            scaled.append(("CONST", rat(g[1]) / M, g[2]))
-        elif g[0] == "MUL":
-            scaled.append(("MUL", rat(g[1]), src(g[2]), g[3]))
+        scaled.append(("MUL", (1 / M, w), nw))
+    for op, args, out in gates:
+        if op == "CONST":
+            args = (args[0] / M,)
+        elif op == "MUL":
+            args = (args[0], in_map.get(args[1], args[1]))
         else:
-            scaled.append((g[0], src(g[1]), src(g[2]), g[3]))
+            args = tuple(in_map.get(w, w) for w in args)
+        scaled.append((op, args, out))
     final_outs = []
     for w in outs:
         nw = gen.fresh()
-        scaled.append(("MUL", M, src(w), nw))
+        scaled.append(("MUL", (M, in_map.get(w, w)), nw))
         final_outs.append(nw)
     # expand max over [-1,1] arguments:
     #   max{x, y} = (x/2 + max{y/2 - x/2, 0}) * 2
     #   max{z, 0} = (z +_T (-1)) +_T 1
     flat = []
-    for g in scaled:
-        if g[0] != "MAX":
-            flat.append(g)
+    for op, args, out in scaled:
+        if op != "MAX":
+            flat.append((op, args, out))
             continue
-        _, a, b, out = g
+        a, b = args
         ha = gen.fresh()
-        flat.append(("MUL", Fraction(1, 2), a, ha))
+        flat.append(("MUL", (Fraction(1, 2), a), ha))
         hb = gen.fresh()
-        flat.append(("MUL", Fraction(1, 2), b, hb))
+        flat.append(("MUL", (Fraction(1, 2), b), hb))
         nha = gen.fresh()
-        flat.append(("MUL", Fraction(-1, 2), a, nha))
+        flat.append(("MUL", (Fraction(-1, 2), a), nha))
         d = gen.fresh()
-        flat.append(("ADD", hb, nha, d))
+        flat.append(("ADD", (hb, nha), d))
         cm = gen.fresh()
-        flat.append(("CONST", Fraction(-1), cm))
+        flat.append(("CONST", (Fraction(-1),), cm))
         z1 = gen.fresh()
-        flat.append(("ADD", d, cm, z1))
+        flat.append(("ADD", (d, cm), z1))
         cp = gen.fresh()
-        flat.append(("CONST", Fraction(1), cp))
+        flat.append(("CONST", (Fraction(1),), cp))
         z2 = gen.fresh()
-        flat.append(("ADD", z1, cp, z2))
+        flat.append(("ADD", (z1, cp), z2))
         s = gen.fresh()
-        flat.append(("ADD", ha, z2, s))
-        flat.append(("MUL", Fraction(2), s, out))
+        flat.append(("ADD", (ha, z2), s))
+        flat.append(("MUL", (Fraction(2), s), out))
     return TruncCircuit(circuit.inputs, flat, final_outs)
 
 
@@ -406,8 +298,6 @@ def compile_fixp(circuit):
     for _ in range(6):
         layout.alloc()
     gates = []      # placement order: circuit first, then projections
-    wire_iv = {circuit.inputs[0]: KDivLayout.IN1,
-               circuit.inputs[1]: KDivLayout.IN2}
 
     def neg(src_idx, dst_idx=None):
         if dst_idx is None:
@@ -416,39 +306,33 @@ def compile_fixp(circuit):
                                     zeta=Fraction(-1)))
         return dst_idx
 
-    for g in circuit.gates:
-        if g[0] == "ADD":
-            _, a, b, out = g
-            ia, ib = wire_iv[a], wire_iv[b]
-            if ia == ib:            # duplicate the wire to keep the
-                ib = neg(neg(ib))   # three intervals disjoint
-            t = layout.alloc()
-            gates.append(make_kdiv_gate("add_T", layout, t, (ia, ib)))
-            wire_iv[out] = neg(t)
-        elif g[0] == "MUL":
-            _, z, a, out = g
-            z = rat(z)
-            if z <= 0:
-                t = layout.alloc()
-                gates.append(make_kdiv_gate("mul_T", layout, t,
-                                            (wire_iv[a],), zeta=z))
-                wire_iv[out] = t
-            else:
-                t = layout.alloc()
-                gates.append(make_kdiv_gate("mul_T", layout, t,
-                                            (wire_iv[a],), zeta=-z))
-                wire_iv[out] = neg(t)
-        else:
-            _, z, out = g
-            t = layout.alloc()
-            gates.append(make_kdiv_gate("const_T", layout, t,
-                                        (KDivLayout.OUT1,), zeta=g[1]))
-            wire_iv[out] = t
+    # each closure places one circuit gate and returns the interval that
+    # carries its value
+    def add(ia, ib):
+        if ia == ib:                # duplicate the wire to keep the
+            ib = neg(neg(ib))       # three intervals disjoint
+        t = layout.alloc()
+        gates.append(make_kdiv_gate("add_T", layout, t, (ia, ib)))
+        return neg(t)
+
+    def mul(z, ia):
+        t = layout.alloc()
+        gates.append(make_kdiv_gate("mul_T", layout, t, (ia,), zeta=-abs(z)))
+        return t if z <= 0 else neg(t)
+
+    def const(z):
+        t = layout.alloc()
+        gates.append(make_kdiv_gate("const_T", layout, t,
+                                    (KDivLayout.OUT1,), zeta=z))
+        return t
+
+    outs = circuit.run((KDivLayout.IN1, KDivLayout.IN2),
+                       {"ADD": add, "MUL": mul, "CONST": const})
     # route the two circuit outputs into Out1/Out2 (negation pairs keep
     # the value and avoid block overlap when an output is a constant or
     # an input wire)
-    for w, dst in zip(circuit.outputs, (KDivLayout.OUT1, KDivLayout.OUT2)):
-        neg(neg(wire_iv[w]), dst)
+    for iv, dst in zip(outs, (KDivLayout.OUT1, KDivLayout.OUT2)):
+        neg(neg(iv), dst)
     # feedback: Out -> Temp (projection) -> In (negation)
     gates.append(make_kdiv_gate("projection1", layout, KDivLayout.TEMP1,
                                 (KDivLayout.OUT1,)))

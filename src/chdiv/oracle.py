@@ -2,6 +2,7 @@
 ground truth by the test suite."""
 
 from fractions import Fraction
+from functools import partial
 import itertools
 from math import comb, lcm
 
@@ -44,9 +45,7 @@ def brute_force(inst, eps, cfg, jobs=1):
     points = grid_points(inst, cfg.m)
     labs = inst.labels()
     if inst.k == 2 and cfg.label_mode == "alternating":
-        if jobs > 1:
-            return _brute_force_parallel(inst, eps, cfg, points, jobs)
-        return _brute_force_alternating(inst, eps, cfg, points)
+        return _brute_force_alternating(inst, eps, cfg, points, jobs)
     for t in range(0, cfg.max_cuts + 1):
         n_labelings = inst.k ** (t + 1)
         if _estimate_work(points, t, n_labelings) > WORK_LIMIT:
@@ -59,35 +58,40 @@ def brute_force(inst, eps, cfg, jobs=1):
     return None
 
 
-def _brute_force_alternating(inst, eps, cfg, points):
+def _brute_force_alternating(inst, eps, cfg, points, jobs):
     """k = 2 exhaustive search.  Flipping every label negates every
     balance, so only the start-with-"+" labeling needs checking.  Agent
     masses are prefix sums at grid points scaled to a common integer
-    denominator, which keeps the inner loop in machine integers."""
-    icdf, eps_i = _int_cdfs(inst, eps, points)
-    P = len(points)
-    for t in range(0, cfg.max_cuts + 1):
-        if _estimate_work(points, t, 1) > WORK_LIMIT:
-            raise WorkLimitExceeded("grid search too large at t=%d" % t)
-        for idxs in itertools.combinations(range(P), t):
-            ok = True
-            for c in icdf:
-                b = 0
-                sign = 1
-                prev = 0
-                for j in idxs:
-                    v = c[j]
-                    b += sign * (v - prev)
-                    prev = v
-                    sign = -sign
-                b += sign * (c[-1] - prev)
-                if b > eps_i or -b > eps_i:
-                    ok = False
-                    break
-            if ok:
-                labels = [PLUS if s % 2 == 0 else MINUS
-                          for s in range(t + 1)]
-                return Solution([points[j] for j in idxs], labels)
+    denominator, which keeps the inner loop in machine integers.
+
+    The t-cut tuples are scanned by first cut in lexicographic order,
+    through map for jobs = 1 and through a process pool, whose workers
+    receive the table once, for jobs > 1; either way the first hit in
+    that order is returned."""
+    table = _int_cdfs(inst, eps, points) + (len(points),)
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_set_table,
+                                   initargs=(table,))
+    try:
+        for t in range(0, cfg.max_cuts + 1):
+            if _estimate_work(points, t, 1) > WORK_LIMIT:
+                raise WorkLimitExceeded("grid search too large at t=%d" % t)
+            firsts = range(len(points)) if t else (0,)
+            if pool is None:
+                hits = map(partial(_scan_first, table, t), firsts)
+            else:
+                hits = pool.map(partial(_scan_first, None, t), firsts,
+                                chunksize=max(1, len(firsts) // (8 * jobs)))
+            for idxs in hits:
+                if idxs is not None:
+                    labels = [PLUS if s % 2 == 0 else MINUS
+                              for s in range(t + 1)]
+                    return Solution([points[j] for j in idxs], labels)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return None
 
 
@@ -98,49 +102,40 @@ def _int_cdfs(inst, eps, points):
     return [[int(f * D) for f in c] for c in cdfs], int(eps * D)
 
 
-def _alternating_ok(icdf, eps_i, idxs):
-    for c in icdf:
-        b = 0
-        sign = 1
-        prev = 0
-        for j in idxs:
-            v = c[j]
-            b += sign * (v - prev)
-            prev = v
-            sign = -sign
-        b += sign * (c[-1] - prev)
-        if b > eps_i or -b > eps_i:
-            return False
-    return True
+_TABLE = None       # a pool worker's (icdf, eps_i, P), set once
 
 
-def _scan_partition(task):
-    """One worker: all t-cut tuples whose first cut is at index first."""
-    icdf, eps_i, P, t, first = task
-    if t == 0:
-        return () if _alternating_ok(icdf, eps_i, ()) else None
-    for rest in itertools.combinations(range(first + 1, P), t - 1):
-        idxs = (first,) + rest
-        if _alternating_ok(icdf, eps_i, idxs):
-            return idxs
-    return None
+def _set_table(table):
+    global _TABLE
+    _TABLE = table
 
 
-def _brute_force_parallel(inst, eps, cfg, points, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-    icdf, eps_i = _int_cdfs(inst, eps, points)
-    P = len(points)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for t in range(0, cfg.max_cuts + 1):
-            if _estimate_work(points, t, 1) > WORK_LIMIT:
-                raise WorkLimitExceeded("grid search too large at t=%d" % t)
-            firsts = [0] if t == 0 else list(range(P))
-            tasks = [(icdf, eps_i, P, t, f) for f in firsts]
-            for idxs in pool.map(_scan_partition, tasks):
-                if idxs is not None:
-                    labels = [PLUS if s % 2 == 0 else MINUS
-                              for s in range(t + 1)]
-                    return Solution([points[j] for j in idxs], labels)
+def _scan_first(table, t, first):
+    """The first t-cut index tuple starting at first, in lexicographic
+    order, whose alternating labeling balances every agent to within
+    eps_i; None if there is none.  table is (icdf, eps_i, P), or None
+    in a pool worker.  At t = 0 there is no cut and first is ignored."""
+    icdf, eps_i, P = table or _TABLE
+    lead = (first,)[:t]
+    # the balance and sign after the first cut, per agent
+    starts = [(c, c[first] if t else 0) for c in icdf]
+    sign0 = -1 if t else 1
+    rests = (itertools.combinations(range(first + 1, P), t - 1) if t > 1
+             else [()])
+    for rest in rests:
+        for c, b in starts:
+            prev = b
+            sign = sign0
+            for j in rest:
+                v = c[j]
+                b += sign * (v - prev)
+                prev = v
+                sign = -sign
+            b += sign * (c[-1] - prev)
+            if b > eps_i or -b > eps_i:
+                break
+        else:
+            return lead + rest
     return None
 
 

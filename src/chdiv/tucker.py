@@ -14,9 +14,11 @@ forces exactly one cut into a private interval, so only N cuts are free.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 from bisect import bisect_right
 
+from .circuit import Circuit
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                    balance, encoded_value, rat, truncate)
 
@@ -28,79 +30,17 @@ HALF = Fraction(1, 2)
 # boolean circuits over {-1, +1} bits
 
 
-class BoolCircuit:
-    """Straight-line circuit of NOT/AND/OR gates on {-1,+1} bits.
-    gates is a list of (op, args, out) with integer wire ids; every
-    gate argument must be an input or an earlier gate output."""
+class BoolCircuit(Circuit):
+    """Straight-line circuit of NOT/AND/OR gates on {-1,+1} bits with
+    integer wire ids."""
 
-    OPS = ("NOT", "AND", "OR")
-
-    def __init__(self, inputs, gates, outputs):
-        self.inputs = list(inputs)
-        self.gates = [(op, tuple(args), out) for op, args, out in gates]
-        self.outputs = list(outputs)
-        defined = set(self.inputs)
-        if len(defined) != len(self.inputs):
-            raise ValueError("duplicate input wire")
-        for op, args, out in self.gates:
-            if op not in self.OPS:
-                raise ValueError("unknown op %r" % op)
-            if len(args) != (1 if op == "NOT" else 2):
-                raise ValueError("%s expects %d args" % (op, 1 if op == "NOT" else 2))
-            for a in args:
-                if a not in defined:
-                    raise ValueError("wire %r used before definition" % a)
-            if out in defined:
-                raise ValueError("wire %r defined twice" % out)
-            defined.add(out)
-        for w in self.outputs:
-            if w not in defined:
-                raise ValueError("undefined output wire %r" % w)
+    OPS = {"NOT": (0, 1), "AND": (0, 2), "OR": (0, 2)}
+    IN, OUT, WIRE = "INPUT", "OUTPUT", int
 
     def evaluate(self, bits):
         """bits: sequence of +1/-1 for the inputs.  Returns the output
         bit list.  (-1 plays the role of 0.)"""
-        if len(bits) != len(self.inputs):
-            raise ValueError("expected %d input bits" % len(self.inputs))
-        val = dict(zip(self.inputs, bits))
-        for op, args, out in self.gates:
-            if op == "NOT":
-                val[out] = -val[args[0]]
-            elif op == "AND":
-                val[out] = min(val[args[0]], val[args[1]])
-            else:
-                val[out] = max(val[args[0]], val[args[1]])
-        return [val[w] for w in self.outputs]
-
-    def format(self):
-        lines = ["INPUT %d" % w for w in self.inputs]
-        for op, args, out in self.gates:
-            lines.append("%s %s -> %d" % (op, " ".join(str(a) for a in args), out))
-        lines += ["OUTPUT %d" % w for w in self.outputs]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text):
-        inputs, gates, outputs = [], [], []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "INPUT" and len(parts) == 2:
-                    inputs.append(int(parts[1]))
-                elif parts[0] == "OUTPUT" and len(parts) == 2:
-                    outputs.append(int(parts[1]))
-                elif parts[0] == "NOT" and len(parts) == 4 and parts[2] == "->":
-                    gates.append(("NOT", (int(parts[1]),), int(parts[3])))
-                elif parts[0] in ("AND", "OR") and len(parts) == 5 and parts[3] == "->":
-                    gates.append((parts[0], (int(parts[1]), int(parts[2])), int(parts[4])))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise ValueError("bad circuit line %d: %r" % (lineno, raw))
-        return cls(inputs, gates, outputs)
+        return self.run(bits, {"NOT": operator.neg, "AND": min, "OR": max})
 
 
 class CircuitBuilder:
@@ -446,17 +386,10 @@ class Assembler:
     def emit_circuit(self, circuit, input_wires, const_in, role="circuit"):
         """Boolean circuit over the +-1 convention, one gate group per
         operation."""
-        val = dict(zip(circuit.inputs, input_wires))
-        for op, args, out in circuit.gates:
-            if op == "NOT":
-                val[out] = self.not_(val[args[0]], role=role)
-            elif op == "AND":
-                val[out] = self.and_(val[args[0]], val[args[1]], const_in,
-                                     role=role)
-            else:
-                val[out] = self.or_(val[args[0]], val[args[1]], const_in,
-                                    role=role)
-        return [val[w] for w in circuit.outputs]
+        return circuit.run(input_wires, {
+            "NOT": lambda b: self.not_(b, role=role),
+            "AND": lambda b1, b2: self.and_(b1, b2, const_in, role=role),
+            "OR": lambda b1, b2: self.or_(b1, b2, const_in, role=role)})
 
     def agent_count(self):
         return len(self.blocks)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from chdiv.cli import main, _jobs, _gen_cap, GEN_CAPS
+from chdiv.cli import main, _jobs, _gen_cap, _tucker_n, GEN_CAPS, TUCKER_N
 from chdiv.core import (instance_from_obj, instance_to_obj, load_instance,
                         load_solution, solution_from_obj, solution_to_obj,
                         verify)
@@ -209,6 +209,27 @@ def test_jobs_type_accepts_one_to_cpu_count():
     for bad in ("0", "-3", str(cap + 1), "abc", "1.5", "", "1" * 5000):
         with pytest.raises(argparse.ArgumentTypeError):
             _jobs(bad)
+
+
+def test_tucker_dimension_bound():
+    assert TUCKER_N == (1, 4)
+    for n in range(1, 5):
+        assert _tucker_n(n) == n
+    for bad in (0, -1, 5, 10_000):
+        with pytest.raises(ValueError, match="1..4"):
+            _tucker_n(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile-tucker", "--n", "0"),
+    ("compile-tucker", "--n", "-1"),
+    ("decode-tucker", "--n", "0", "--solution", "missing.json"),
+    ("gen", "--kind", "tucker-demo", "--n", "0"),
+])
+def test_tucker_dimension_out_of_bound_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "must be in 1..4" in err and "Traceback" not in err
 
 
 def test_bad_jobs_is_exit_1(tmp_path, capsys, monkeypatch):

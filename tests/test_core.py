@@ -482,17 +482,32 @@ def labels_for(cuts):
     return [PLUS if i % 2 == 0 else MINUS for i in range(len(cuts) + 1)]
 
 
-def test_package_has_no_floating_point():
-    """Everything in the package is an exact rational: no source file
-    under src/chdiv names float or holds a float literal."""
+def package_nodes():
+    """(file name, node) for every AST node of every src/chdiv/*.py."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "chdiv"
     files = sorted(src.glob("*.py"))
     assert files
-    hits = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Name) and node.id == "float") or (
-                    isinstance(node, ast.Constant)
-                    and isinstance(node.value, float)):
-                hits.append("%s:%d" % (path.name, node.lineno))
+            yield path.name, node
+
+
+def test_package_has_no_floating_point():
+    """Everything in the package is an exact rational: no source file
+    under src/chdiv names float or holds a float literal."""
+    hits = []
+    for name, node in package_nodes():
+        if (isinstance(node, ast.Name) and node.id == "float") or (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)):
+            hits.append("%s:%d" % (name, node.lineno))
+    assert not hits, hits
+
+
+def test_only_the_circuit_module_defines_parse():
+    """One circuit grammar: no module but circuit.py defines a parse
+    method or function."""
+    hits = ["%s:%d" % (name, node.lineno) for name, node in package_nodes()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "parse" and name != "circuit.py"]
     assert not hits, hits

@@ -32,11 +32,6 @@ def test_eval_trunc_basics():
     assert eval_trunc(addc, (F(-3, 4), F(-3, 4))) == (-1, F(-3, 4))
 
 
-def test_trunc_circuit_round_trip():
-    text = CONSTS.format()
-    assert TruncCircuit.parse(text).format() == text
-
-
 def test_gate_valuations_have_unit_mass():
     layout = KDivLayout()
     for _ in range(3):

@@ -59,6 +59,20 @@ def test_parallel_matches_sequential():
             assert verify(inst, par, eps).satisfied
 
 
+def test_jobs_return_the_same_first_solution():
+    # the scan order is lexicographic for every jobs value, so the
+    # parallel path finds the very tuple the sequential one does
+    halves = Instance([Valuation([Block(0, F(1, 2), 2)]),
+                       Valuation([Block(F(1, 2), 1, 2)])])
+    for m, t in ((200, 1), (200, 2)):
+        cfg = GridSearchConfig(m, t)
+        seq = brute_force(halves, F(1, 100), cfg)
+        par = brute_force(halves, F(1, 100), cfg, jobs=2)
+        assert (seq is None) == (par is None) == (t < 2)
+        if seq is not None:
+            assert (par.cuts, par.labels) == (seq.cuts, seq.labels)
+
+
 def test_work_limit_guard():
     # two disjoint blocks need two cuts, and two cuts on a 10^5 grid
     # exceed the work budget before the t = 2 sweep starts

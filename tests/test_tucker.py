@@ -31,14 +31,6 @@ def test_point_bits_round_trip():
         assert bits_to_coord(bits) == r
 
 
-def test_circuit_parse_format_round_trip():
-    lab = demo_labeling(2)
-    text = lab.circuit.format()
-    again = BoolCircuit.parse(text)
-    assert again.format() == text
-    assert "INPUT" in text and "OUTPUT" in text
-
-
 def test_demo_labeling_semantics_and_antisymmetry():
     lab = demo_labeling(2)
     for x in itertools.product(range(1, 9), repeat=2):
