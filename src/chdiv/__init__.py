@@ -1,4 +1,4 @@
 from .core import (Block, Valuation, Instance, Solution, BalanceReport,
                    balance, verify, encoded_value, truncate,
-                   rescale_to_unit, disjoint_copies, rat, rat_str)
+                   disjoint_copies, rat, rat_str)
 from . import core, dp, greedy, lp, simplex, oracle, tucker, fixp

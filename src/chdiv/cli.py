@@ -89,7 +89,7 @@ def _write_json(obj, path):
 
 
 def _emit(report, args):
-    if getattr(args, "json", False):
+    if args.json:
         json.dump(report, sys.stdout, indent=1, sort_keys=True)
         print()
     else:
@@ -139,7 +139,7 @@ def cmd_solve(args):
                             report["runtime_s"]))
     else:
         _emit(report, args)
-    return 0
+    return 0 if report["satisfied"] else 2
 
 
 def cmd_verify(args):
@@ -227,10 +227,11 @@ def cmd_decode_fixp(args):
         _emit({"decoded": False, "reason": str(e)}, args)
         return 2
     fx = fixp.eval_trunc(circ, x)
+    fixed = fx == tuple(x)
     _emit({"decoded": True, "x": [rat_str(v) for v in x],
            "F_x": [rat_str(v) for v in fx],
-           "fixed_point": fx == tuple(x)}, args)
-    return 0
+           "fixed_point": fixed}, args)
+    return 0 if fixed else 2
 
 
 def cmd_oracle(args):
@@ -260,12 +261,8 @@ def cmd_gen(args):
         base = instance_from_obj(_load_json(args.infile))
         inst = disjoint_copies(base, args.c)
     else:
-        n = _tucker_n(args.n)
-        eps = args.eps
-        if eps is None:
-            eps = Fraction(1, (2 ** 14) * n * n)
-        lab = tucker.demo_labeling(n)
-        inst = tucker.compile_tucker(lab, eps).instance
+        lab = tucker.demo_labeling(_tucker_n(args.n))
+        inst = tucker.compile_tucker(lab, args.eps).instance
     _write_json(instance_to_obj(inst), args.out)
     _emit({"agents": inst.n, "k": inst.k,
            "domain_right": rat_str(inst.domain_right)}, args)
@@ -280,21 +277,25 @@ def build_parser():
                 description="exact consensus division toolbox")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, eps=True, infile=True):
+    def common(sp, *shared):
+        """--json and --jobs, plus the shared options named in shared:
+        any of "in", "eps", "out" and "csv"."""
         sp.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
-        sp.add_argument("--csv", action="store_true",
-                        help="plot-ready CSV on stdout")
-        sp.add_argument("--out", help="output file (JSON)")
         # default None: main reads CONSENSUS_CUT_JOBS on every call
         sp.add_argument("--jobs", type=_jobs, default=None)
-        if eps:
-            sp.add_argument("--eps", type=_frac, default=None)
-        if infile:
+        if "in" in shared:
             sp.add_argument("--in", dest="infile", required=True)
+        if "eps" in shared:
+            sp.add_argument("--eps", type=_frac, default=None)
+        if "out" in shared:
+            sp.add_argument("--out", help="output file (JSON)")
+        if "csv" in shared:
+            sp.add_argument("--csv", action="store_true",
+                            help="plot-ready CSV on stdout")
 
     sp = sub.add_parser("solve", help="run a solver on an instance")
-    common(sp)
+    common(sp, "in", "eps", "out", "csv")
     sp.add_argument("--algo", choices=["greedy", "dp", "lp"],
                     default="greedy")
     sp.add_argument("--ell", type=int, default=1)
@@ -303,19 +304,19 @@ def build_parser():
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="check a solution")
-    common(sp)
+    common(sp, "in", "eps", "csv")
     sp.add_argument("--solution", required=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("refine", help="exact refinement of an "
                         "approximate solution")
-    common(sp)
+    common(sp, "in", "out")
     sp.add_argument("--solution", required=True)
     sp.set_defaults(func=cmd_refine)
 
     sp = sub.add_parser("compile-tucker",
                         help="labeling circuit to halving instance")
-    common(sp, infile=False)
+    common(sp, "eps", "out")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--circuit", help="labeling circuit file "
                     "(defaults to the built-in demo labeling)")
@@ -324,7 +325,7 @@ def build_parser():
 
     sp = sub.add_parser("decode-tucker",
                         help="solution back to a labeling solution pair")
-    common(sp, infile=False)
+    common(sp, "eps")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--circuit")
     sp.add_argument("--solution", required=True)
@@ -333,25 +334,25 @@ def build_parser():
     sp = sub.add_parser("compile-fixp",
                         help="fixed-point circuit to 1/3-division "
                         "instance")
-    common(sp, eps=False, infile=False)
+    common(sp, "out")
     sp.add_argument("--circuit", required=True)
     sp.set_defaults(func=cmd_compile_fixp)
 
     sp = sub.add_parser("decode-fixp",
                         help="exact solution back to a fixed point")
-    common(sp, eps=False, infile=False)
+    common(sp)
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--solution", required=True)
     sp.set_defaults(func=cmd_decode_fixp)
 
     sp = sub.add_parser("oracle", help="brute-force grid search")
-    common(sp)
+    common(sp, "in", "eps", "out")
     sp.add_argument("--grid", type=int, required=True)
     sp.add_argument("--max-cuts", type=int, required=True)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("gen", help="instance generators")
-    common(sp, infile=False)
+    common(sp, "eps", "out")
     sp.add_argument("--kind", required=True,
                     choices=["random-single-block", "random-dblock",
                              "copies", "tucker-demo"])

@@ -116,9 +116,7 @@ class Valuation:
     """A probability measure with piecewise-constant density.
 
     Blocks are kept sorted and non-overlapping (touching endpoints are
-    fine); total mass must be exactly 1 unless require_mass_one=False
-    (used for rescaling helpers before renormalization and for sub-
-    measures such as the blocks of one interval).
+    fine); total mass must be exactly 1.
 
     The blocks are also kept on an integer grid: _grid[i] is
     (left * E, right * E, height * H) for the lcm E of the endpoint
@@ -127,7 +125,7 @@ class Valuation:
     table behind cdf is built the first time cdf is called.
     """
 
-    def __init__(self, blocks, require_mass_one=True):
+    def __init__(self, blocks):
         blocks = list(blocks)
         E = lcm(*[x.denominator for b in blocks for x in (b.left, b.right)])
         H = lcm(*[b.height.denominator for b in blocks])
@@ -150,7 +148,7 @@ class Valuation:
         self._scale = (E, H)
         self._below = None
         self._mass = sum(h * (r - l) for l, r, h in self._grid)
-        if require_mass_one and self._mass != E * H:
+        if self._mass != E * H:
             raise ValueError("total mass %s != 1" % (self.mass,))
 
     @property
@@ -196,16 +194,6 @@ class Valuation:
         if b < a:
             raise ValueError("reversed interval")
         return self.cdf(b) - self.cdf(a)
-
-    def density_at(self, x):
-        """Density at x; at a shared endpoint the right block wins."""
-        x = rat(x)
-        n, d = x.numerator, x.denominator
-        E = self._scale[0]
-        i = bisect_right(self._grid, n * E // d, key=_left) - 1
-        if i >= 0 and n * E < self._grid[i][1] * d:
-            return self.blocks[i].height
-        return Fraction(0)
 
     def translate(self, dx):
         dx = rat(dx)
@@ -437,17 +425,6 @@ def encoded_value(s, left, domain_right=None):
                                      or left + 1 > rat(domain_right)):
         raise ValueError("interval outside domain")
     return _signed_mass(Valuation([Block(left, left + 1, 1)]), s)
-
-
-def rescale_to_unit(inst):
-    """Map [0, M] to [0, 1]: endpoints / M, heights * M."""
-    M = inst.domain_right
-    if M <= 0:
-        raise ValueError("empty domain")
-    agents = [Valuation([Block(b.left / M, b.right / M, b.height * M)
-                         for b in v.blocks]) for v in inst.agents]
-    return Instance(agents, k=inst.k, cut_budget=inst.cut_budget,
-                    domain_right=1)
 
 
 def disjoint_copies(inst, c):

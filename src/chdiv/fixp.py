@@ -11,6 +11,7 @@ between intervals.
 """
 
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .circuit import Circuit
@@ -364,17 +365,22 @@ class EncodingStatus:
 
 def encoding_status(sol, left):
     """Well-cut / valid flags and the encoded value of the length-9
-    interval starting at left."""
+    interval starting at left.  Valid means well-cut, its three
+    segments carrying three different labels, and C's share of X(I)
+    exactly 1/3; the value of a valid encoding lies in [-1, 1]."""
     left = rat(left)
-    inside = [t for t in sol.cuts if left < t < left + 9]
+    i = bisect_right(sol.cuts, left)
+    inside = sol.cuts[i:bisect_left(sol.cuts, left + 9)]
     well = (len(inside) == 2
             and left + WELL_CUT_1[0] <= inside[0] <= left + WELL_CUT_1[1]
             and left + WELL_CUT_2[0] <= inside[1] <= left + WELL_CUT_2[1])
-    xv = Valuation([Block(a, b, 1) for a, b in x_set(left)],
-                   require_mass_one=False)
+    # X(I) has length 6: at height 1/6 it is a probability measure, on
+    # which a valid encoding gives C exactly 1/3 and v(I) = 3 (A - B)
+    xv = Valuation([Block(a, b, Fraction(1, 6)) for a, b in x_set(left)])
     masses = label_masses(xv, sol.frame, sol.labels, (A, B, C))
-    valid = well and masses[C] == 2
-    value = (masses[A] - masses[B]) / 2 if valid else None
+    valid = (well and len(set(sol.labels[i:i + 3])) == 3
+             and masses[C] == Fraction(1, 3))
+    value = 3 * (masses[A] - masses[B]) if valid else None
     return EncodingStatus(well, valid, value)
 
 
@@ -442,49 +448,36 @@ def forward_place_kdiv(compiled, x):
         o = lay.left(idx)
         cuts_of[idx] = (o + t1, o + t2)
 
-    def label_mass(blocks, idx):
-        """Per-label agent mass of blocks inside interval idx.  If the
-        interval's cuts are not yet placed (constant gates read Out1
-        before the circuit output lands there), the blocks must avoid
-        the well-cut windows, where the labels are position-invariant;
-        placeholder cuts then give the right answer."""
-        o = lay.left(idx)
-        if cuts_of[idx] is None:
-            zones = [(o, o + WELL_CUT_1[0]),
-                     (o + WELL_CUT_1[1], o + WELL_CUT_2[0]),
-                     (o + WELL_CUT_2[1], o + 9)]
-            for l, rr, h in blocks:
-                if not any(za <= l and rr <= zb for za, zb in zones):
-                    raise AssertionError("input interval %d read before "
-                                         "placement" % idx)
-            cuts = (o + 3, o + 6)
-        else:
-            cuts = cuts_of[idx]
-        v = Valuation([Block(*b) for b in blocks], require_mass_one=False)
-        return label_masses(v, cuts, patterns[idx], (A, B, C), o, o + 9)
-
-    for g in compiled.gates:
+    third = Fraction(1, 3)
+    # agents[i] is the valuation compiled from gates[i]
+    for v, g in zip(compiled.instance.agents, compiled.gates):
         idx = g.out_idx
         if cuts_of[idx] is not None:
             continue            # In1/In2 writers: cuts already present
-        third = Fraction(1, 3)
-        acc = {A: Fraction(0), B: Fraction(0), C: Fraction(0)}
-        blocks_by_iv = {}
-        for l, r, h in g.in_blocks:
-            iv = int(l // 10)
-            blocks_by_iv.setdefault(iv, []).append((l, r, h))
-        for iv, bl in blocks_by_iv.items():
-            lm = label_mass(bl, iv)
+        acc = dict.fromkeys((A, B, C), Fraction(0))
+        for iv in g.in_idxs:
+            il = lay.left(iv)
+            cuts = cuts_of[iv]
+            if cuts is None:
+                # constant gates read Out1 before the circuit output
+                # lands there; off the well-cut windows the labels do
+                # not depend on the cut positions, so placeholder cuts
+                # give the right masses
+                if (v.mass_between(il + WELL_CUT_1[0], il + WELL_CUT_1[1])
+                        or v.mass_between(il + WELL_CUT_2[0],
+                                          il + WELL_CUT_2[1])):
+                    raise AssertionError("input interval %d read before "
+                                         "placement" % iv)
+                cuts = (il + 3, il + 6)
+            lm = label_masses(v, cuts, patterns[iv], (A, B, C), il, il + 9)
             for lab in acc:
                 acc[lab] += lm[lab]
         o = lay.left(idx)
-        own = Valuation([Block(o + a, o + b, ANCH_H) for a, b in ANCHORS]
-                        + [Block(*b) for b in g.out_blocks],
-                        require_mass_one=False)
         p, q, r = patterns[idx]
-        t1 = _invert_cdf(own, third - acc[p], o, o + 9)
-        # r's share is the mass right of t2
-        t2 = _invert_cdf(own, own.cdf(o + 9) - (third - acc[r]), o, o + 9)
+        # v's own mass in [o, o + 9] is the anchors plus the output
+        # blocks; r's share is the mass right of t2
+        t1 = _invert_cdf(v, v.cdf(o) + third - acc[p], o, o + 9)
+        t2 = _invert_cdf(v, v.cdf(o + 9) - (third - acc[r]), o, o + 9)
         if not (o + WELL_CUT_1[0] <= t1 <= o + WELL_CUT_1[1]
                 and o + WELL_CUT_2[0] <= t2 <= o + WELL_CUT_2[1]):
             raise AssertionError("gate %s cuts outside well-cut windows: "

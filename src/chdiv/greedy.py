@@ -17,8 +17,7 @@ mass, which is what drives the loop.
 
 from fractions import Fraction
 
-from .core import (Instance, Solution, Valuation, Block, PLUS, MINUS,
-                   CutFrame, label_masses)
+from .core import Solution, PLUS, MINUS, CutFrame, label_masses
 
 
 HALF = Fraction(1, 2)
@@ -196,19 +195,3 @@ def solve_half(inst, trace=None):
             trace.append(snap)
     return state.solution()
 
-
-def split_dblock(inst):
-    """Replace each agent by one single-block agent per block (heights
-    renormalized to mass 1).  Returns (derived instance, agent map) with
-    agent_map[j] = original agent of derived agent j.  A 1/2-solution of
-    the derived instance is a 1/2-solution of the original."""
-    agents, agent_map = [], []
-    for i, v in enumerate(inst.agents):
-        for blk in v.blocks:
-            if blk.mass == 0:
-                continue
-            agents.append(Valuation.normalized([blk]))
-            agent_map.append(i)
-    derived = Instance(agents, k=2, cut_budget=len(agents),
-                       domain_right=inst.domain_right)
-    return derived, agent_map

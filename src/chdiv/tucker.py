@@ -23,9 +23,6 @@ from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                    balance, encoded_value, rat, truncate)
 
 
-HALF = Fraction(1, 2)
-
-
 # ---------------------------------------------------------------------------
 # boolean circuits over {-1, +1} bits
 
@@ -211,11 +208,15 @@ def demo_labeling(N):
 
 
 class ReductionParams:
-    def __init__(self, N, eps):
-        eps = rat(eps)
+    """The constants of the reduction for dimension N.  eps defaults to
+    the largest allowed value, 1/(2^14 N^2)."""
+
+    def __init__(self, N, eps=None):
+        largest = Fraction(1, (2 ** 14) * N * N)
+        eps = largest if eps is None else rat(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if eps > Fraction(1, (2 ** 14) * N * N):
+        if eps > largest:
             raise ValueError("eps must be <= 1/(2^14 N^2)")
         self.N = N
         self.p = 4 * N * N
@@ -225,7 +226,6 @@ class ReductionParams:
         self.kmul = _ceil(1 / self.g)
         assert 16 * self.g <= self.alpha
         assert self.p * self.alpha <= Fraction(1, 16)
-        self.q = None  # per-simulator region length, set by the compiler
 
 
 def _ceil(x):
@@ -391,9 +391,6 @@ class Assembler:
             "AND": lambda b1, b2: self.and_(b1, b2, const_in, role=role),
             "OR": lambda b1, b2: self.or_(b1, b2, const_in, role=role)})
 
-    def agent_count(self):
-        return len(self.blocks)
-
 
 # ---------------------------------------------------------------------------
 # full compilation
@@ -404,18 +401,8 @@ class Layout:
         self.N = N
         self.p = p
         self.q = q
-        self.coordinate_cells = [(i, i + 1) for i in range(N)]
-        self.const_cells = [(N + j, N + j + 1) for j in range(p)]
-        self.sim_regions = [(N + p + j * q, N + p + (j + 1) * q)
-                            for j in range(p)]
         self.feedback_start = fstart
-        self.feedback_cells = {(i + 1, j + 1): fstart + i * p + j
-                               for i in range(N) for j in range(p)}
         self.domain_right = domain_right
-
-    def feedback_interval(self, i):
-        left = self.feedback_start + (i - 1) * self.p
-        return (left, left + self.p)
 
     def simulator_of(self, pos):
         """Simulator index 1..p whose region contains pos, else None."""
@@ -442,15 +429,23 @@ class CompiledCH:
         self.roles = roles
 
 
-def compile_tucker(lab, eps):
+def compile_tucker(lab, eps=None):
     """Build the full instance: p = 4N^2 simulators, each reading the
     coordinates and its own constant cell, extracting 3 bits per
     coordinate, simulating the labeling circuit, and writing the per-
     axis +-1 census values into the feedback cells; one uniform
-    feedback agent per axis."""
+    feedback agent per axis.  eps defaults to the largest allowed
+    value (see ReductionParams).  A labeling that is not antipodally
+    anti-symmetric on the boundary is a ValueError naming a violating
+    point: the decode guarantee rests on that symmetry."""
     N = lab.N
     if lab.side != 8:
         raise ValueError("labeling must live on [8]^N (snake_embed first)")
+    bad = lab.check_antisymmetric()
+    if bad is not None:
+        raise ValueError("labeling is not antipodally anti-symmetric: "
+                         "lambda(%s) != -lambda(%s)"
+                         % (bad, tuple(9 - r for r in bad)))
     params = ReductionParams(N, eps)
     p, alpha, kmul = params.p, params.alpha, params.kmul
     asm = Assembler(params.eps, origin=N + p)
@@ -498,7 +493,6 @@ def compile_tucker(lab, eps):
         agents.append(Valuation([Block(left, left + p, hp)]))
         roles.append("feedback")
     inst = Instance(agents, k=2, domain_right=domain_right)
-    params.q = q
     layout = Layout(N, p, q, fstart, domain_right)
     return CompiledCH(inst, layout, params, lab, asm.gates, asm.forced,
                       roles)

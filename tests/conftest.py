@@ -1,6 +1,10 @@
 """Shared generators and invariant checkers for the test suite."""
 
+import bisect
+import itertools
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         balance, label_masses, verify)
@@ -62,3 +66,40 @@ def check_greedy_invariants(inst):
                 assert not (l < c < r), (c, l, r)
         prev_cuts, prev_rrs = set(cuts), list(rrs)
     return sol
+
+
+# decode fuzzing: 1 to 3 mutations (kind, i, t, perm) of a solution; i
+# picks a cut, t in [0, 1] a position, perm a permutation of the labels
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["drop", "add", "shift", "permute"]),
+              st.integers(0, 10 ** 6),
+              st.fractions(0, 1, max_denominator=64),
+              st.integers(0, 10 ** 6)),
+    min_size=1, max_size=3)
+
+
+def mutate(sol, alphabet, domain_right, ops):
+    """sol with each op applied: drop a cut, add a cut at t *
+    domain_right with the label alphabet[perm], shift a cut to t of the
+    way between its neighbours, or permute the labels within the
+    alphabet."""
+    cuts, labels = list(sol.cuts), list(sol.labels)
+    perms = list(itertools.permutations(alphabet))
+    for kind, i, t, perm in ops:
+        if kind == "drop" and cuts:
+            i %= len(cuts)
+            del cuts[i], labels[i + 1]
+        elif kind == "add":
+            y = t * domain_right
+            j = bisect.bisect(cuts, y)
+            cuts.insert(j, y)
+            labels.insert(j + 1, alphabet[perm % len(alphabet)])
+        elif kind == "shift" and cuts:
+            i %= len(cuts)
+            lo = cuts[i - 1] if i else Fraction(0)
+            hi = cuts[i + 1] if i + 1 < len(cuts) else domain_right
+            cuts[i] = lo + t * (hi - lo)
+        elif kind == "permute":
+            table = dict(zip(alphabet, perms[perm % len(perms)]))
+            labels = [table[l] for l in labels]
+    return Solution(cuts, labels)

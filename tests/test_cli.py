@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -436,3 +438,131 @@ def test_tucker_compile_and_decode(tmp_path, capsys):
                        "--solution", str(solp), "--json")
     assert code == 2
     assert json.loads(out)["decoded"] is False
+
+
+# --- every option is read, and only the read options exist -----------------
+
+
+def _subcommands():
+    """(name, cmd function, option dests) for every subcommand."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        yield (name, sp.get_default("func"),
+               [a.dest for a in sp._actions if a.dest != "help"])
+
+
+def _args_read(func):
+    """The names func reads as args.<name>, directly or through the cli
+    functions it hands args to."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args"
+                      for a in node.args)):
+            helper = getattr(cli, node.func.id, None)
+            if helper is not None and helper is not func:
+                names |= _args_read(helper)
+    return names
+
+
+def test_every_option_is_read_by_its_command():
+    # --json (read by _emit) and --jobs (read by main) are on every
+    # subcommand
+    for name, func, dests in _subcommands():
+        unread = set(dests) - _args_read(func) - {"json", "jobs"}
+        assert not unread, (name, sorted(unread))
+
+
+@pytest.mark.parametrize("command,dropped,needed", [
+    ("verify", ["--out", "x.json"], ["--eps", "1/2"]),
+    ("refine", ["--eps", "0"], []),
+    ("oracle", ["--csv"], ["--eps", "1/2", "--grid", "8", "--max-cuts", "2"]),
+])
+def test_a_dropped_option_is_exit_1(tmp_path, capsys, command, dropped,
+                                    needed):
+    inst = gen_instance(tmp_path, capsys, n="2")
+    solp = tmp_path / "sol.json"
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(solp))[0] == 0
+    if command != "oracle":
+        needed = needed + ["--solution", str(solp)]
+    with pytest.raises(SystemExit) as e:
+        run(capsys, command, "--in", str(inst), *needed, *dropped)
+    assert e.value.code == 1
+    assert ("unrecognized arguments: " + " ".join(dropped)
+            in capsys.readouterr().err)
+
+
+# --- Tucker defaults and input checks ----------------------------------------
+
+
+def test_tucker_commands_default_to_the_largest_eps(tmp_path, capsys):
+    layp = tmp_path / "layout.json"
+    code, out, err = run(capsys, "compile-tucker", "--n", "1",
+                         "--layout", str(layp), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(layp.read_text())["eps"] == "1/16384"
+    compiled = tucker.compile_tucker(tucker.demo_labeling(1))
+    assert compiled.params.eps == F(1, 2 ** 14)
+    assert json.loads(out)["agents"] == compiled.instance.n
+    solp = tmp_path / "sol.json"
+    solp.write_text(json.dumps(solution_to_obj(
+        tucker.forward_place(compiled, [F(-1, 32)]))))
+    code, out, err = run(capsys, "decode-tucker", "--n", "1",
+                         "--solution", str(solp), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["decoded"] is True
+
+
+def test_compile_tucker_rejects_a_labeling_that_is_not_antisymmetric(
+        tmp_path, capsys):
+    # a constant label +1: lambda(8) = lambda(1)
+    circ = tmp_path / "const.txt"
+    circ.write_text("INPUT 0\nINPUT 1\nINPUT 2\nNOT 0 -> 3\nOR 0 3 -> 4\n"
+                    "OUTPUT 4\nOUTPUT 4\n")
+    code, out, err = run(capsys, "compile-tucker", "--n", "1", "--circuit",
+                         str(circ), "--eps", "1/65536")
+    assert code == 1 and out == ""
+    assert "not antipodally anti-symmetric" in err and "(1,)" in err
+
+
+# --- exit 0 only when the answer is true --------------------------------------
+
+
+def test_decode_fixp_of_a_point_that_is_not_fixed_is_exit_2(tmp_path, capsys):
+    text = "IN x1\nIN x2\nMUL 1/2 x1 -> a\nMUL 1/2 x2 -> b\nOUT a\nOUT b\n"
+    circp = tmp_path / "circ.txt"
+    circp.write_text(text)
+    instp = tmp_path / "inst.json"
+    assert run(capsys, "compile-fixp", "--circuit", str(circp),
+               "--out", str(instp))[0] == 0
+    compiled = fixp.compile_fixp(fixp.TruncCircuit.parse(text))
+    solp = tmp_path / "sol.json"
+    solp.write_text(json.dumps(solution_to_obj(
+        fixp.forward_place_kdiv(compiled, (F(1, 3), F(1, 5))))))
+    code, _, _ = run(capsys, "verify", "--in", str(instp), "--solution",
+                     str(solp), "--eps", "0")
+    assert code == 2
+    code, out, _ = run(capsys, "decode-fixp", "--circuit", str(circp),
+                       "--solution", str(solp), "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["decoded"] is True and report["fixed_point"] is False
+    assert report["x"] == ["1/3", "1/5"]
+
+
+def test_solve_that_misses_its_eps_is_exit_2(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys, seed="3", n="6")
+    solp = tmp_path / "sol.json"
+    code, out, _ = run(capsys, "solve", "--algo", "greedy", "--eps", "1/100",
+                       "--in", str(inst), "--out", str(solp), "--json")
+    assert code == 2
+    assert json.loads(out)["satisfied"] is False
+    # the solution is still written, and it meets greedy's own bound
+    code, _, _ = run(capsys, "verify", "--in", str(inst), "--solution",
+                     str(solp), "--eps", "1/2")
+    assert code == 0

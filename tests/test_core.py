@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chdiv.core import (Block, Valuation, Instance, Solution, PLUS, MINUS,
                         balance, verify, label_masses, encoded_value, truncate,
-                        rescale_to_unit, disjoint_copies, rat, rat_str,
+                        disjoint_copies, rat, rat_str,
                         instance_to_obj, instance_from_obj, solution_to_obj,
                         solution_from_obj, dump_instance, load_instance,
                         dump_solution, load_solution)
@@ -138,9 +138,6 @@ def test_valuation_normalized_and_queries():
     assert v.mass == 1
     assert v.mass_between(0, F(1, 4)) == F(1, 2)
     assert v.mass_between(F(1, 4), F(3, 4)) == 0
-    assert v.density_at(F(7, 8)) == 2
-    assert v.density_at(F(1, 2)) == 0
-    assert v.density_at(F(3, 4)) == 2 and v.density_at(1) == 0
     assert v.cdf(-1) == 0 and v.cdf(0) == 0
     assert v.cdf(F(1, 8)) == F(1, 4)
     assert v.cdf(F(1, 2)) == F(1, 2) and v.cdf(F(7, 8)) == F(3, 4)
@@ -227,18 +224,6 @@ def test_encoded_value_basic():
 def test_encoded_value_domain_check():
     with pytest.raises(ValueError):
         encoded_value(Solution([], [PLUS]), F(1, 2), 1)
-
-
-def test_rescale_to_unit():
-    inst = Instance([Valuation([Block(0, 2, F(1, 2))])], domain_right=2)
-    out = rescale_to_unit(inst)
-    assert out.domain_right == 1
-    assert out.agents[0].blocks == (Block(0, 1, 1),)
-    inst = Instance([Valuation([Block(1, 2, 1)])], domain_right=4)
-    out = rescale_to_unit(inst)
-    assert out.agents[0].blocks == (Block(F(1, 4), F(1, 2), 4),)
-    inst = Instance([Valuation([Block(0, 1, 1)])], domain_right=1)
-    assert rescale_to_unit(inst) == inst
 
 
 def test_disjoint_copies():
@@ -353,13 +338,12 @@ def test_property_verify_monotone_in_eps(v, s, eps):
 @settings(max_examples=80, deadline=None)
 @given(valuations(), binary_solutions())
 def test_property_rescale_preserves_reports(v, s):
-    # stretch the same data onto [0, 3], then map it back to [0, 1]
+    # the same data stretched onto [0, 3] gives the same report
     big = Instance([Valuation([Block(3 * b.left, 3 * b.right, b.height / 3)
                                for b in v.blocks])], domain_right=3)
     sbig = Solution([3 * c for c in s.cuts], s.labels)
-    back = rescale_to_unit(big)
     r1 = verify(big, sbig, 0)
-    r2 = verify(back, s, 0)
+    r2 = verify(unit(v), s, 0)
     assert r1.per_agent_discrepancy == r2.per_agent_discrepancy
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chdiv.core import verify
 from chdiv.fixp import (TruncCircuit, LinFixpCircuit, eval_trunc,
@@ -8,6 +9,7 @@ from chdiv.fixp import (TruncCircuit, LinFixpCircuit, eval_trunc,
                         forward_place_kdiv, decode_fixed_point,
                         encoding_status, KDivLayout, KDivDecodeFailure,
                         make_kdiv_gate)
+from conftest import MUTATIONS, mutate
 
 
 F = Fraction
@@ -47,11 +49,14 @@ def test_gate_valuations_have_unit_mass():
 # --- compile / forward / decode ---------------------------------------------
 
 
-@pytest.mark.parametrize("circ,fp", [
+FIXED_POINTS = [
     (CONSTS, (F(1, 3), F(-1, 2))),
     (HALVE, (F(0), F(0))),
     (IDENT, (F(2, 7), F(-3, 5))),
-])
+]
+
+
+@pytest.mark.parametrize("circ,fp", FIXED_POINTS)
 def test_fixed_points_verify_and_decode(circ, fp):
     comp = compile_fixp(circ)
     inst = comp.instance
@@ -112,6 +117,24 @@ def test_decode_rejects_structurally_broken_solutions():
     broken = sol.__class__(sol.cuts[2:], sol.labels[2:])
     with pytest.raises((KDivDecodeFailure, ValueError)):
         decode_fixed_point(comp, broken)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXED_POINTS), MUTATIONS)
+def test_property_decode_of_a_mutated_witness(circ_fp, ops):
+    # the decoder either refuses or reads a point of [-1, 1]^2, and a
+    # mutated witness that is still exact decodes to a fixed point
+    circ, fp = circ_fp
+    comp = compile_fixp(circ)
+    sol = mutate(forward_place_kdiv(comp, fp), "ABC",
+                 comp.instance.domain_right, ops)
+    try:
+        x = decode_fixed_point(comp, sol)
+    except KDivDecodeFailure:
+        return
+    assert all(-1 <= v <= 1 for v in x)
+    if verify(comp.instance, sol, 0).satisfied:
+        assert eval_trunc(circ, x) == x
 
 
 # --- reduction from the add/mul/max form ------------------------------------

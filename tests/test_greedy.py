@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chdiv.core import Instance, Valuation, Block, balance, verify
-from chdiv.greedy import solve_half, split_dblock
-from conftest import (random_single_block_instance, random_dblock_instance,
-                      check_greedy_invariants)
+from chdiv.greedy import solve_half
+from conftest import random_single_block_instance, check_greedy_invariants
 
 
 F = Fraction
@@ -80,28 +79,3 @@ def test_half_guarantee_is_exactly_met_somewhere():
         assert rep.satisfied
         worst = max(worst, rep.max_discrepancy)
     assert worst <= F(1, 2)
-
-
-def test_split_dblock_renormalizes():
-    inst = Instance([Valuation([Block(0, F(1, 4), 2),
-                                Block(F(3, 4), 1, 2)])])
-    derived, amap = split_dblock(inst)
-    assert derived.n == 2 and amap == [0, 0]
-    assert derived.agents[0].blocks == (Block(0, F(1, 4), 4),)
-    assert derived.agents[1].blocks == (Block(F(3, 4), 1, 4),)
-
-
-def test_split_dblock_identity_on_single_block():
-    inst = Instance([Valuation([Block(0, 1, 1)])])
-    derived, amap = split_dblock(inst)
-    assert derived.agents == inst.agents and amap == [0]
-
-
-def test_split_dblock_end_to_end():
-    rng = random.Random(13)
-    for _ in range(15):
-        inst = random_dblock_instance(rng, rng.randrange(1, 5), d=3)
-        derived, amap = split_dblock(inst)
-        sol = solve_half(derived)
-        assert len(sol.cuts) <= derived.n
-        assert verify(inst, sol, F(1, 2)).satisfied

@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value, truncate, balance)
@@ -15,6 +16,7 @@ from chdiv.tucker import (BoolCircuit, CircuitBuilder, TuckerLabeling,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
+from conftest import MUTATIONS, mutate
 
 
 F = Fraction
@@ -85,6 +87,19 @@ def test_reduction_parameters():
         ReductionParams(2, F(1, 2 ** 13))    # too coarse
     with pytest.raises(ValueError):
         ReductionParams(2, 0)
+    # the default is the largest allowed eps, 1/(2^14 N^2)
+    assert ReductionParams(2).eps == EPS
+    assert ReductionParams(1).eps == F(1, 2 ** 14)
+
+
+def test_compile_rejects_a_labeling_that_is_not_antisymmetric():
+    b = CircuitBuilder()
+    ins = b.reserve(3)
+    one = b.OR(ins[0], b.NOT(ins[0]))       # the constant label +1
+    lab = TuckerLabeling(1, BoolCircuit(ins, b.gates, [one, one]))
+    assert lab.check_antisymmetric() == (1,)
+    with pytest.raises(ValueError, match=r"anti-symmetric.*\(1,\)"):
+        compile_tucker(lab, EPS)
 
 
 # --- gate agents ------------------------------------------------------------
@@ -232,6 +247,23 @@ def test_decode_1d(compiled_1d):
     comp = compiled_1d
     sol = forward_place(comp, [F(-1, 32)])
     u, w = decode_solution(comp, sol)
+    lab = comp.labeling
+    assert lab.evaluate(u) == -lab.evaluate(w)
+    assert max(abs(a - b) for a, b in zip(u, w)) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(MUTATIONS)
+def test_property_decode_of_a_mutated_placement(compiled_1d, ops):
+    # the decoder either refuses or returns a complementary pair of
+    # adjacent cells
+    comp = compiled_1d
+    sol = mutate(forward_place(comp, [F(-40, 1024)]), (PLUS, MINUS),
+                 comp.instance.domain_right, ops)
+    try:
+        u, w = decode_solution(comp, sol)
+    except DecodeFailure:
+        return
     lab = comp.labeling
     assert lab.evaluate(u) == -lab.evaluate(w)
     assert max(abs(a - b) for a, b in zip(u, w)) <= 1
