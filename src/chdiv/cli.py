@@ -219,10 +219,9 @@ def cmd_compile_fixp(args):
 def cmd_decode_fixp(args):
     with open(args.circuit) as fp:
         circ = fixp.TruncCircuit.parse(fp.read())
-    compiled = fixp.compile_fixp(circ)
     sol = solution_from_obj(_load_json(args.solution))
     try:
-        x = fixp.decode_fixed_point(compiled, sol)
+        x = fixp.decode_fixed_point(sol)
     except fixp.KDivDecodeFailure as e:
         _emit({"decoded": False, "reason": str(e)}, args)
         return 2

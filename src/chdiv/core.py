@@ -156,23 +156,6 @@ class Valuation:
         E, H = self._scale
         return Fraction(self._mass, E * H)
 
-    @staticmethod
-    def normalized(blocks):
-        """Scale heights so the total mass is exactly 1."""
-        total = sum(b.mass for b in blocks)
-        if total == 0:
-            raise ValueError("zero-mass valuation")
-        return Valuation([Block(b.left, b.right, b.height / total)
-                          for b in blocks])
-
-    @property
-    def support_left(self):
-        return self.blocks[0].left
-
-    @property
-    def support_right(self):
-        return self.blocks[-1].right
-
     def cdf(self, x):
         """mu((-inf, x]), exactly: one bisection over the block lefts."""
         grid, (E, H) = self._grid, self._scale

@@ -11,6 +11,7 @@ cuts iff one exists.
 """
 
 from fractions import Fraction
+import math
 
 # verify is not called here; it stays importable as chdiv.dp.verify,
 # one of the sites perfbench/layers.py wraps
@@ -49,7 +50,7 @@ def round_instance(inst, eps_prime):
     solution of the input."""
     eps_prime = rat(eps_prime)
     stats = InstanceStats(inst)
-    m = _ceil_frac(stats.M / eps_prime)
+    m = math.ceil(stats.M / eps_prime)
     agents = []
     for v in inst.agents:
         if len(v.blocks) != 1:
@@ -66,13 +67,9 @@ def round_instance(inst, eps_prime):
                     domain_right=inst.domain_right)
 
 
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator)
-
-
 def _snap_tie_down(x, m):
     """Nearest multiple of 1/m; exact midpoints go to the smaller."""
-    lo = (x * m).numerator // (x * m).denominator
+    lo = math.floor(x * m)
     below = Fraction(lo, m)
     above = Fraction(lo + 1, m)
     if x - below <= above - x:
@@ -110,7 +107,7 @@ def dp_solve(inst, eps, m=None):
         blocks.append(v.blocks[0])
     stats = InstanceStats(inst)
     if m is None:        # M = 0 only without agents; one point then
-        m = max(1, _ceil_frac(2 * stats.M * inst.domain_right / eps))
+        m = max(1, math.ceil(2 * stats.M * inst.domain_right / eps))
     grid = grid_points(inst, m)[:m]
     n = inst.n
     a = [b.left for b in blocks]

@@ -283,11 +283,10 @@ def make_kdiv_gate(kind, layout, out_idx, in_idxs, zeta=None):
 
 
 class CompiledKDiv:
-    def __init__(self, instance, layout, gates, circuit):
+    def __init__(self, instance, layout, gates):
         self.instance = instance
         self.layout = layout
         self.gates = gates          # KDivGate list, topological
-        self.circuit = circuit
 
 
 def compile_fixp(circuit):
@@ -345,7 +344,7 @@ def compile_fixp(circuit):
         raise AssertionError("interval/agent count mismatch")
     agents = [g.valuation(layout) for g in gates]
     inst = Instance(agents, k=3, domain_right=layout.domain_right)
-    return CompiledKDiv(inst, layout, gates, circuit)
+    return CompiledKDiv(inst, layout, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +513,13 @@ def _rename_for_out1(sol):
     return Solution(sol.cuts, [table[l] for l in sol.labels])
 
 
-def decode_fixed_point(compiled, sol):
-    """Read the fixed point (v(In1), v(In2)) from an exact solution."""
+def decode_fixed_point(sol):
+    """Read the fixed point (v(In1), v(In2)) from an exact solution; In1
+    and In2 sit at the same place in every compiled circuit."""
     sol = _rename_for_out1(sol)
-    lay = compiled.layout
     vals = []
     for idx in (KDivLayout.IN1, KDivLayout.IN2):
-        st = encoding_status(sol, lay.left(idx))
+        st = encoding_status(sol, KDivLayout.left(idx))
         if not st.valid:
             raise KDivDecodeFailure("input interval %d is not a valid "
                                     "encoding" % idx)

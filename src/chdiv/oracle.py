@@ -1,12 +1,11 @@
 """Brute-force reference search.  Slow but obviously correct; used as
 ground truth by the test suite."""
 
-from fractions import Fraction
 from functools import partial
 import itertools
 from math import comb, lcm
 
-from .core import (Instance, Solution, BalanceReport, check_solution,
+from .core import (Solution, BalanceReport, check_solution,
                    grid_points, label_masses, verify, PLUS, MINUS, rat)
 
 
@@ -18,13 +17,11 @@ class WorkLimitExceeded(Exception):
 
 
 class GridSearchConfig:
-    def __init__(self, m, max_cuts, label_mode="alternating"):
-        # label_mode: "alternating" (k=2) or "explicit" (all k^men labelings)
+    def __init__(self, m, max_cuts):
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
         self.m = int(m)
         self.max_cuts = int(max_cuts)
-        self.label_mode = label_mode
 
 
 def _estimate_work(points, t, labelings):
@@ -44,7 +41,7 @@ def brute_force(inst, eps, cfg, jobs=1):
     eps = rat(eps)
     points = grid_points(inst, cfg.m)
     labs = inst.labels()
-    if inst.k == 2 and cfg.label_mode == "alternating":
+    if inst.k == 2:
         return _brute_force_alternating(inst, eps, cfg, points, jobs)
     for t in range(0, cfg.max_cuts + 1):
         n_labelings = inst.k ** (t + 1)

@@ -116,83 +116,45 @@ def solve_eq(c, A, b):
 
 
 class LinearProgram:
-    """min c.x with rows  a.x <= b / a.x = b  and bounds lb <= x <= ub
-    (lb/ub may be None for free sides).  Converted to standard form by
-    splitting free directions and adding slacks."""
+    """min obj.x subject to rows a.x <= b or a.x = b and lb <= x <= ub,
+    each lb finite and each ub finite or None; rows and obj (0 until
+    set) are dense lists of ints and Fractions, one per variable.
 
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.obj = [Fraction(0)] * nvars
-        self.rows = []   # (coeffs dict, sense, rhs) with sense in {"<=", "=", ">="}
-        self.lb = [None] * nvars
-        self.ub = [None] * nvars
+    Standard form: x = lb + p with p >= 0.  Columns are the p, then one
+    slack per <= row; rows are the caller's, then p_j <= ub_j - lb_j
+    for each finite ub in variable order."""
 
-    def set_objective(self, coeffs):
-        for j, v in coeffs.items():
-            self.obj[j] = Fraction(v)
+    def __init__(self, lb, ub):
+        self.lb, self.ub = list(lb), list(ub)
+        self.obj = [0] * len(self.lb)
+        self.rows = []      # (coeffs, sense, rhs)
 
     def add(self, coeffs, sense, rhs):
-        self.rows.append(({j: Fraction(v) for j, v in coeffs.items()},
-                          sense, Fraction(rhs)))
-
-    def set_bounds(self, j, lb=None, ub=None):
-        self.lb[j] = None if lb is None else Fraction(lb)
-        self.ub[j] = None if ub is None else Fraction(ub)
+        if sense not in ("<=", "="):
+            raise ValueError("sense must be '<=' or '=', not %r" % (sense,))
+        if len(coeffs) != len(self.lb):
+            raise ValueError("%d coefficients for %d variables"
+                             % (len(coeffs), len(self.lb)))
+        self.rows.append((list(coeffs), sense, rhs))
 
     def solve(self):
-        """Returns (status, x, objective) with x in original variables."""
-        # variable mapping: x_j = lb_j + p_j        (lb finite)
-        #                   x_j = ub_j - q_j        (only ub finite)
-        #                   x_j = p_j - q_j         (both free)
-        rows = list(self.rows)
-        cols = []   # one or two standard-form columns per variable
-        shift = [Fraction(0)] * self.nvars
-        colmap = []
-        for j in range(self.nvars):
-            if self.lb[j] is not None:
-                shift[j] = self.lb[j]
-                colmap.append([(len(cols), 1)])
-                cols.append(j)
-                if self.ub[j] is not None:
-                    rows.append(({j: Fraction(1)}, "<=", self.ub[j]))
-            elif self.ub[j] is not None:
-                shift[j] = self.ub[j]
-                colmap.append([(len(cols), -1)])
-                cols.append(j)
-            else:
-                colmap.append([(len(cols), 1), (len(cols) + 1, -1)])
-                cols.append(j)
-                cols.append(j)
-        n0 = len(cols)
-        # build equality system with slacks
-        A, b = [], []
-        nslack = sum(1 for r in rows if r[1] != "=")
-        si = 0
-        for coeffs, sense, rhs in rows:
-            row = [Fraction(0)] * (n0 + nslack)
-            rr = rhs
-            for j, v in coeffs.items():
-                rr -= v * shift[j]
-                for col, sgn in colmap[j]:
-                    row[col] += sgn * v
-            if sense == "<=":
-                row[n0 + si] = Fraction(1)
-                si += 1
-            elif sense == ">=":
-                row[n0 + si] = Fraction(-1)
-                si += 1
-            A.append(row)
-            b.append(rr)
-        c = [Fraction(0)] * (n0 + nslack)
-        for j in range(self.nvars):
-            for col, sgn in colmap[j]:
-                c[col] += sgn * self.obj[j]
-        status, xs, _ = solve_eq(c, A, b)
+        """Returns (status, x, objective)."""
+        n = len(self.lb)
+        rows = [(a, s, rhs - sum(v * l for v, l in zip(a, self.lb)))
+                for a, s, rhs in self.rows]
+        rows += [([0] * j + [1] + [0] * (n - j - 1), "<=", u - l)
+                 for j, (l, u) in enumerate(zip(self.lb, self.ub))
+                 if u is not None]
+        nslack = sum(s == "<=" for _, s, _ in rows)
+        A, col = [], n
+        for a, s, _ in rows:
+            A.append(a + [0] * nslack)     # ints: no Fraction per entry
+            if s == "<=":
+                A[-1][col] = 1
+                col += 1
+        status, p, _ = solve_eq(self.obj + [0] * nslack, A,
+                                [rhs for _, _, rhs in rows])
         if status != OPTIMAL:
             return status, None, None
-        x = list(shift)
-        for j in range(self.nvars):
-            for col, sgn in colmap[j]:
-                x[j] += sgn * xs[col]
-        obj = sum(self.obj[j] * x[j] for j in range(self.nvars))
-        return OPTIMAL, x, obj
+        x = [l + pj for l, pj in zip(self.lb, p)]
+        return OPTIMAL, x, sum(c * xj for c, xj in zip(self.obj, x))

@@ -14,6 +14,7 @@ forces exactly one cut into a private interval, so only N cuts are free.
 """
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from bisect import bisect_right
@@ -118,17 +119,10 @@ class TuckerLabeling:
             bits.extend(point_bits(r))
         return decode_label(self.circuit.evaluate(bits))
 
-    def is_boundary(self, point):
-        return any(r == 1 or r == self.side for r in point)
-
-    def check_antisymmetric(self, points=None):
-        """Check lambda(9-x) = -lambda(x) on boundary points (all of
-        them for small N unless a sample is given)."""
-        if points is None:
-            points = _boundary_points(self.N, self.side)
-        for x in points:
-            if not self.is_boundary(x):
-                continue
+    def check_antisymmetric(self):
+        """Check lambda(9-x) = -lambda(x) on every boundary point;
+        returns the first point that breaks it, or None."""
+        for x in _boundary_points(self.N, self.side):
             xbar = tuple(self.side + 1 - r for r in x)
             if self.evaluate(xbar) != -self.evaluate(x):
                 return x
@@ -223,14 +217,9 @@ class ReductionParams:
         self.alpha = Fraction(1, 16 * self.p)
         self.eps = eps
         self.g = 16 * eps
-        self.kmul = _ceil(1 / self.g)
+        self.kmul = math.ceil(1 / self.g)
         assert 16 * self.g <= self.alpha
         assert self.p * self.alpha <= Fraction(1, 16)
-
-
-def _ceil(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 B_POINTS = [Fraction(k, 4) for k in (-3, -2, -1, 0, 1, 2, 3)]
@@ -243,7 +232,7 @@ def dist_to_B(z):
 def cell_of(z):
     """Standard length-1/4 cell of [-1,1] containing z, as 1..8."""
     z = rat(z)
-    c = ((z + 1) * 4).numerator // ((z + 1) * 4).denominator
+    c = math.floor((z + 1) * 4)
     return max(1, min(8, c + 1))
 
 

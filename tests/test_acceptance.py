@@ -319,7 +319,7 @@ def test_fixp_pipeline_constant_circuit():
     fp = (F(1, 3), F(-1, 2))
     sol = fixp.forward_place_kdiv(comp, fp)
     assert verify(comp.instance, sol, 0).satisfied
-    assert fixp.decode_fixed_point(comp, sol) == fp
+    assert fixp.decode_fixed_point(sol) == fp
     assert fixp.eval_trunc(circ, fp) == fp
 
 
@@ -330,7 +330,7 @@ def test_fixp_pipeline_contraction():
     fp = (F(0), F(0))
     sol = fixp.forward_place_kdiv(comp, fp)
     assert verify(comp.instance, sol, 0).satisfied
-    assert fixp.decode_fixed_point(comp, sol) == fp
+    assert fixp.decode_fixed_point(sol) == fp
     assert fixp.eval_trunc(circ, fp) == fp
 
 

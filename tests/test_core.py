@@ -134,7 +134,7 @@ def test_valuation_rejects_overlap_and_wrong_mass():
 
 
 def test_valuation_normalized_and_queries():
-    v = Valuation.normalized([Block(0, F(1, 4), 1), Block(F(3, 4), 1, 1)])
+    v = Valuation([Block(0, F(1, 4), 2), Block(F(3, 4), 1, 2)])
     assert v.mass == 1
     assert v.mass_between(0, F(1, 4)) == F(1, 2)
     assert v.mass_between(F(1, 4), F(3, 4)) == 0
@@ -143,7 +143,7 @@ def test_valuation_normalized_and_queries():
     assert v.cdf(F(1, 2)) == F(1, 2) and v.cdf(F(7, 8)) == F(3, 4)
     assert v.cdf(1) == 1 and v.cdf(5) == 1
     w = v.translate(1)
-    assert w.support_left == 1 and w.support_right == 2
+    assert w.blocks[0].left == 1 and w.blocks[-1].right == 2
 
 
 def test_solution_structural_checks():
@@ -232,7 +232,7 @@ def test_disjoint_copies():
     assert disjoint_copies(inst, 0) is inst
     two = disjoint_copies(inst, 1)
     assert two.n == 2 and two.cut_budget == 3 and two.domain_right == 2
-    assert two.agents[1].support_left == 1
+    assert two.agents[1].blocks[0].left == 1
     # solving each copy with its own cut satisfies the combined instance
     s = Solution([F(1, 2), F(3, 2)], [PLUS, MINUS, PLUS])
     assert verify(two, s, 0).satisfied
@@ -243,7 +243,8 @@ def test_disjoint_copies_supports_are_disjoint():
     inst = random_single_block_instance(rng, 3)
     out = disjoint_copies(inst, 2)
     assert out.n == 9
-    spans = sorted((v.support_left, v.support_right) for v in out.agents)
+    spans = sorted((v.blocks[0].left, v.blocks[-1].right)
+                   for v in out.agents)
     for c in range(3):
         lo = min(l for l, _ in spans[3 * c:3 * c + 3])
         hi = max(r for _, r in spans[3 * c:3 * c + 3])
@@ -288,14 +289,20 @@ small_frac = st.fractions(min_value=0, max_value=1, max_denominator=24)
 heights = st.fractions(min_value=F(1, 8), max_value=6, max_denominator=12)
 
 
+def _mass_one(spans, weights):
+    """A valuation on the spans, block heights proportional to weights."""
+    total = sum(w * (r - l) for (l, r), w in zip(spans, weights))
+    return Valuation([Block(l, r, w / total)
+                      for (l, r), w in zip(spans, weights)])
+
+
 @st.composite
 def valuations(draw, max_blocks=3):
     nb = draw(st.integers(1, max_blocks))
     pts = sorted(draw(st.lists(small_frac, min_size=2 * nb,
                                max_size=2 * nb, unique=True)))
-    blocks = [Block(pts[2 * t], pts[2 * t + 1], draw(heights))
-              for t in range(nb)]
-    return Valuation.normalized(blocks)
+    spans = [(pts[2 * t], pts[2 * t + 1]) for t in range(nb)]
+    return _mass_one(spans, [draw(heights) for _ in spans])
 
 
 @st.composite
@@ -402,8 +409,7 @@ def kernel_cases(draw):
             min_size=2, max_size=6, unique=True)))
         spans = [(l, r) for l, r in zip(pts, pts[1:]) if draw(st.booleans())]
         spans = spans or [(pts[0], pts[1])]
-        agents.append(Valuation.normalized(
-            [Block(l, r, draw(heights)) for l, r in spans]))
+        agents.append(_mass_one(spans, [draw(heights) for _ in spans]))
     inst = Instance(agents, k=k, domain_right=2)
     endpoints = sorted({e for v in agents for b in v.blocks
                         for e in (b.left, b.right)})
@@ -443,9 +449,9 @@ def test_kernel_at_the_edges_of_the_integer_frames():
     # cuts and clip bounds one step of a large prime's frame away from a
     # block endpoint, next to touching blocks: the floor and ceil
     # placements must count exactly the cuts on each side
-    v = Valuation.normalized([Block(F(1, 3), F(1, 2), 2),
-                              Block(F(1, 2), F(5, 6), 1),
-                              Block(1, F(7, 5), 3)])
+    v = Valuation([Block(F(1, 3), F(1, 2), F(15, 14)),
+                   Block(F(1, 2), F(5, 6), F(15, 28)),
+                   Block(1, F(7, 5), F(45, 28))])
     ends = sorted({e for b in v.blocks for e in (b.left, b.right)})
     labs = [PLUS, MINUS]
     for q in COPRIME + [7]:

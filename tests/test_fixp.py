@@ -65,7 +65,7 @@ def test_fixed_points_verify_and_decode(circ, fp):
     assert len(sol.cuts) == 2 * inst.n <= inst.cut_budget
     rep = verify(inst, sol, 0)
     assert rep.satisfied, rep.max_discrepancy
-    assert decode_fixed_point(comp, sol) == fp
+    assert decode_fixed_point(sol) == fp
     assert eval_trunc(circ, fp) == fp
     for idx in range(comp.layout.count):
         st = encoding_status(sol, comp.layout.left(idx))
@@ -88,7 +88,7 @@ def test_saturating_addition_balances_exactly():
     fp = (F(3, 4), F(3, 4))
     sol = forward_place_kdiv(comp, fp)
     assert verify(comp.instance, sol, 0).satisfied
-    assert decode_fixed_point(comp, sol) == fp
+    assert decode_fixed_point(sol) == fp
 
 
 def test_duplicated_wire_addition():
@@ -97,7 +97,7 @@ def test_duplicated_wire_addition():
     fp = (F(0), F(1, 9))
     sol = forward_place_kdiv(comp, fp)
     assert verify(comp.instance, sol, 0).satisfied
-    assert decode_fixed_point(comp, sol) == fp
+    assert decode_fixed_point(sol) == fp
 
 
 def test_encoding_status_flags_bad_cut_patterns():
@@ -116,7 +116,7 @@ def test_decode_rejects_structurally_broken_solutions():
     sol = forward_place_kdiv(comp, (F(0), F(0)))
     broken = sol.__class__(sol.cuts[2:], sol.labels[2:])
     with pytest.raises((KDivDecodeFailure, ValueError)):
-        decode_fixed_point(comp, broken)
+        decode_fixed_point(broken)
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,7 +129,7 @@ def test_property_decode_of_a_mutated_witness(circ_fp, ops):
     sol = mutate(forward_place_kdiv(comp, fp), "ABC",
                  comp.instance.domain_right, ops)
     try:
-        x = decode_fixed_point(comp, sol)
+        x = decode_fixed_point(sol)
     except KDivDecodeFailure:
         return
     assert all(-1 <= v <= 1 for v in x)

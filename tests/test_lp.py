@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chdiv.core import Instance, Valuation, Block, Solution, PLUS, MINUS, verify
-from chdiv.lp import (breakpoints, midpoint_solution, SlotAssignment,
-                      lp_feasible, solve_with_budget, refine_exact)
+from chdiv.lp import (breakpoints, midpoint_solution, lp_feasible,
+                      solve_with_budget, refine_exact, _containing_cell)
 from chdiv import simplex
 from chdiv.simplex import (LinearProgram, OPTIMAL, INFEASIBLE, UNBOUNDED,
                            solve_eq)
@@ -28,37 +28,44 @@ def two_agent(b1, b2):
 
 
 def test_simplex_minimizes_with_bounds():
-    lp = LinearProgram(1)
-    lp.set_objective({0: 1})
-    lp.set_bounds(0, 2, 10)
+    lp = LinearProgram([2], [10])
+    lp.obj = [1]
     status, x, z = lp.solve()
     assert status == OPTIMAL and x[0] == 2 and z == 2
 
 
 def test_simplex_equality_system():
     # x + y = 1, x - y = 1/3  ->  x = 2/3, y = 1/3
-    lp = LinearProgram(2)
-    lp.add({0: 1, 1: 1}, "=", 1)
-    lp.add({0: 1, 1: -1}, "=", F(1, 3))
+    lp = LinearProgram([0, 0], [None, None])
+    lp.add([1, 1], "=", 1)
+    lp.add([1, -1], "=", F(1, 3))
     status, x, _ = lp.solve()
     assert status == OPTIMAL
     assert x[0] == F(2, 3) and x[1] == F(1, 3)
 
 
 def test_simplex_detects_infeasibility():
-    lp = LinearProgram(1)
-    lp.set_bounds(0, 0, 1)
-    lp.add({0: 1}, ">=", 2)
+    # x >= 2 written as -x <= -2
+    lp = LinearProgram([0], [1])
+    lp.add([-1], "<=", -2)
     status, _, _ = lp.solve()
     assert status == INFEASIBLE
 
 
 def test_simplex_detects_unboundedness():
-    lp = LinearProgram(1)
-    lp.set_objective({0: -1})
-    lp.set_bounds(0, 0, None)
+    lp = LinearProgram([0], [None])
+    lp.obj = [-1]
     status, _, _ = lp.solve()
     assert status == UNBOUNDED
+
+
+def test_linear_program_rejects_other_senses_and_row_lengths():
+    lp = LinearProgram([0, 0], [1, None])
+    with pytest.raises(ValueError):
+        lp.add([1, 1], ">=", 1)
+    with pytest.raises(ValueError):
+        lp.add([1], "<=", 1)
+    assert lp.rows == []
 
 
 def _traced(monkeypatch):
@@ -223,14 +230,14 @@ def test_midpoint_solution_is_exact_and_small():
 def test_lp_feasible_full_subset_and_unique_cut():
     inst = Instance([Valuation([Block(0, 1, 1)])])
     grid = breakpoints(inst)
-    pos = lp_feasible(inst, SlotAssignment(grid, [0]))
+    pos = lp_feasible(inst, grid, [0])
     assert pos == [F(1, 2)]
 
 
 def test_lp_feasible_every_cell_has_the_midpoint_witness():
     inst = two_agent((0, F(1, 2), 2), (F(1, 2), 1, 2))
     grid = breakpoints(inst)
-    pos = lp_feasible(inst, SlotAssignment(grid, [0, 1]))
+    pos = lp_feasible(inst, grid, [0, 1])
     assert pos is not None
     sol = Solution(sorted(pos), [PLUS, MINUS, PLUS])
     assert verify(inst, sol, 0).satisfied
@@ -240,7 +247,7 @@ def test_lp_feasible_reports_infeasibility():
     # one cut in the left cell can never halve the right-cell agent
     inst = two_agent((0, F(1, 2), 2), (F(1, 2), 1, 2))
     grid = breakpoints(inst)
-    assert lp_feasible(inst, SlotAssignment(grid, [0])) is None
+    assert lp_feasible(inst, grid, [0]) is None
 
 
 def test_solve_with_budget_ell1_always_succeeds():
@@ -262,6 +269,15 @@ def test_solve_with_budget_tight_budget():
 def test_solve_with_budget_certifies_impossibility():
     inst = two_agent((0, F(1, 2), 2), (F(1, 2), 1, 2))
     assert solve_with_budget(inst, 3) is None     # budget 1
+
+
+def test_containing_cell_on_and_off_the_grid():
+    grid = [0, F(1, 2), 1]
+    assert [_containing_cell(grid, x)
+            for x in (0, F(1, 4), F(1, 2), F(3, 4), 1)] == [0, 0, 1, 1, 1]
+    for x in (F(-1, 10), F(11, 10)):
+        with pytest.raises(ValueError):
+            _containing_cell(grid, x)
 
 
 def test_refine_recovers_midpoint():

@@ -26,7 +26,7 @@ def test_reports_infeasibility_on_coarse_grid():
 
 def test_three_label_search():
     inst = Instance([Valuation([Block(0, 1, 1)])], k=3)
-    cfg = GridSearchConfig(3, 2, label_mode="explicit")
+    cfg = GridSearchConfig(3, 2)
     sol = brute_force(inst, 0, cfg)
     assert sol is not None
     assert verify(inst, sol, 0).satisfied
