@@ -34,11 +34,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _frac(text):
+def _eps(text):
+    """The argparse type of --eps: a rational >= 0."""
     try:
-        return rat(text)
+        value = rat(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("eps must be >= 0, got %r" % text)
+    return value
 
 
 def _int_in(text, lo, hi, what):
@@ -257,6 +261,8 @@ def cmd_gen(args):
     elif args.kind == "random-dblock":
         inst = gen.random_dblock_instance(rng, args.n, args.d, args.grid)
     elif args.kind == "copies":
+        if args.infile is None:
+            raise ValueError("--kind copies requires --in")
         base = instance_from_obj(_load_json(args.infile))
         inst = disjoint_copies(base, args.c)
     else:
@@ -286,7 +292,7 @@ def build_parser():
         if "in" in shared:
             sp.add_argument("--in", dest="infile", required=True)
         if "eps" in shared:
-            sp.add_argument("--eps", type=_frac, default=None)
+            sp.add_argument("--eps", type=_eps, default=None)
         if "out" in shared:
             sp.add_argument("--out", help="output file (JSON)")
         if "csv" in shared:

@@ -231,6 +231,13 @@ class Instance:
             self.n, self.k, self.cut_budget, self.domain_right)
 
 
+def alternating_labels(count, first=PLUS):
+    """count k = 2 labels alternating from first: one per segment of a
+    solution whose every cut flips the label."""
+    other = MINUS if first == PLUS else PLUS
+    return [first if i % 2 == 0 else other for i in range(count)]
+
+
 class CutFrame:
     """Sorted cuts on one integer scale: scale is the lcm of their
     denominators and keys[i] = cuts[i] * scale, an int.  For any

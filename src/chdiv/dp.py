@@ -15,8 +15,8 @@ import math
 
 # verify is not called here; it stays importable as chdiv.dp.verify,
 # one of the sites perfbench/layers.py wraps
-from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS, rat,
-                   grid_points, verify)
+from .core import (Instance, Valuation, Block, Solution, alternating_labels,
+                   rat, grid_points, verify)
 
 
 class InstanceStats:
@@ -184,10 +184,8 @@ def dp_solve(inst, eps, m=None):
         q0 = tuple(Fraction(0) for _ in active(Fraction(0)))
         ok, cuts = rec(q0, 0, t)
         if ok:
-            labels = [PLUS if (t - k) % 2 == 0 else MINUS
-                      for k in range(t + 1)]
-            if labels[0] == MINUS:
-                labels = [PLUS if l == MINUS else MINUS for l in labels]
-            sol = Solution(cuts, labels)
+            # the search labels the final segment "+"; the labeling
+            # from "+" is that or its flip, which negates every balance
+            sol = Solution(cuts, alternating_labels(t + 1))
             break
     return DPResult(sol, len(memo), m, stats.d, stats.M)

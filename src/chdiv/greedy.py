@@ -17,7 +17,8 @@ mass, which is what drives the loop.
 
 from fractions import Fraction
 
-from .core import Solution, PLUS, MINUS, CutFrame, label_masses
+from .core import (Solution, PLUS, MINUS, CutFrame, alternating_labels,
+                   label_masses)
 
 
 HALF = Fraction(1, 2)
@@ -48,9 +49,7 @@ class GreedyState:
         self.rrs = _merge(self.rrs + [(l, r)])
 
     def solution(self):
-        labels = [PLUS if i % 2 == 0 else MINUS
-                  for i in range(len(self.cuts) + 1)]
-        return Solution(self.cuts, labels)
+        return Solution(self.cuts, alternating_labels(len(self.cuts) + 1))
 
     def parity_odd(self, l, r):
         """Odd iff the labels flanking the RR's extreme cuts differ,
@@ -59,7 +58,7 @@ class GreedyState:
 
     def matched_mass(self, v):
         """Value of v inside RRs that is paired off between the labels."""
-        labels = [PLUS, MINUS] * (len(self.cuts) // 2 + 1)
+        labels = alternating_labels(len(self.cuts) + 1)
         frame = CutFrame(self.cuts)
         total = Fraction(0)
         for l, r in self.rrs:

@@ -11,7 +11,7 @@ import itertools
 
 # verify is not called here; it stays importable as chdiv.lp.verify,
 # one of the sites perfbench/layers.py wraps
-from .core import Solution, PLUS, MINUS, verify
+from .core import Solution, PLUS, MINUS, alternating_labels, verify
 from .simplex import LinearProgram, OPTIMAL
 
 
@@ -26,17 +26,13 @@ def breakpoints(inst):
     return sorted(pts)
 
 
-def _alternating(count):
-    return [PLUS if i % 2 == 0 else MINUS for i in range(count)]
-
-
 def midpoint_solution(inst):
     """One cut in the middle of every breakpoint cell, alternating
     labels: every agent's mass in every cell is split exactly in half,
     so the solution is exact (discrepancy 0) with m cuts."""
     pts = breakpoints(inst)
     cuts = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-    return Solution(cuts, _alternating(len(cuts) + 1))
+    return Solution(cuts, alternating_labels(len(cuts) + 1))
 
 
 def lp_feasible(inst, grid, cells):
@@ -45,7 +41,7 @@ def lp_feasible(inst, grid, cells):
     alternating from "+", so that every agent is perfectly halved.
     Returns the list of cut positions, or None."""
     lp = LinearProgram([grid[j] for j in cells], [grid[j + 1] for j in cells])
-    labels = _alternating(len(cells) + 1)
+    labels = alternating_labels(len(cells) + 1)
     for v in inst.agents:
         forms = _label_forms(v, grid, cells, labels, (PLUS, MINUS))
         diff = [p - q for p, q in zip(forms[PLUS], forms[MINUS])]
@@ -70,7 +66,7 @@ def solve_with_budget(inst, ell):
         pos = lp_feasible(inst, grid, cells)
         if pos is not None:
             # ascending cells keep the positions sorted
-            return Solution(pos, _alternating(budget + 1))
+            return Solution(pos, alternating_labels(budget + 1))
     return None
 
 

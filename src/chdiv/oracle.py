@@ -5,8 +5,8 @@ from functools import partial
 import itertools
 from math import comb, lcm
 
-from .core import (Solution, BalanceReport, check_solution,
-                   grid_points, label_masses, verify, PLUS, MINUS, rat)
+from .core import (Solution, BalanceReport, alternating_labels,
+                   check_solution, grid_points, label_masses, verify, rat)
 
 
 WORK_LIMIT = 10 ** 8
@@ -20,6 +20,8 @@ class GridSearchConfig:
     def __init__(self, m, max_cuts):
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
+        if max_cuts < 0:
+            raise ValueError("max_cuts must be >= 0")
         self.m = int(m)
         self.max_cuts = int(max_cuts)
 
@@ -83,9 +85,8 @@ def _brute_force_alternating(inst, eps, cfg, points, jobs):
                                 chunksize=max(1, len(firsts) // (8 * jobs)))
             for idxs in hits:
                 if idxs is not None:
-                    labels = [PLUS if s % 2 == 0 else MINUS
-                              for s in range(t + 1)]
-                    return Solution([points[j] for j in idxs], labels)
+                    return Solution([points[j] for j in idxs],
+                                    alternating_labels(t + 1))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

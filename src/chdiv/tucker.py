@@ -9,8 +9,11 @@ Domain layout (lengths in units, left to right):
   [N + p, N + p + p*q]    p simulator regions of q units each
   [.., .. + N*p]          feedback cells F_i(j)
 
-Every gate agent has at most two uniform blocks of equal height and
-forces exactly one cut into a private interval, so only N cuts are free.
+Every gate agent is two uniform blocks of equal height, an input block
+and an output block (Assembler.gates), and forces exactly one cut into
+its private output block, so only N cuts are free.  forward_place sets
+each such cut by one rule: t = (l + r - L s) / 2 for the output block
+[l, r], the label L at l and the signed length s of the input block.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from bisect import bisect_right
 
 from .circuit import Circuit
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                   balance, encoded_value, rat, truncate)
+                   alternating_labels, balance, encoded_value, rat, truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +245,16 @@ def cell_of(z):
 
 class Assembler:
     """Emits gate agents into unit slots along the domain.  Wires are
-    unit intervals identified by their (integer) left endpoint.  Every
-    emitted agent records one forced-cut interval and a placement rule
-    used by forward_place."""
+    unit intervals identified by their (integer) left endpoint.  A gate
+    agent is its record [input block, output block] of (left, right,
+    height) triples, two uniform blocks of one height: the output block
+    is the interval that holds the agent's one forced cut, and
+    forward_place sets that cut from the input block alone."""
 
     def __init__(self, eps, origin=0):
         self.eps = rat(eps)
         self.cursor = origin
-        self.blocks = []      # one list of (left, right, height) per agent
-        self.roles = []
-        self.gates = []       # ("vol", in_left, out_left, delta) |
-                              # ("add", w1, w2, j_left)
-        self.forced = []      # (left, width)
+        self.gates = []       # [input block, output block] per agent
         self._hcache = {}
 
     def _height(self, delta):
@@ -268,7 +269,7 @@ class Assembler:
         self.cursor += width
         return left
 
-    def volume(self, delta, in_left, out_left=None, role="vol"):
+    def volume(self, delta, in_left, out_left=None):
         """One agent: a centered block of length 1-delta in the input
         wire and a full block in the output wire, equal heights.  Forces
         a cut in the output wire; v(out) = -v(in) clamped to 1-delta."""
@@ -279,47 +280,37 @@ class Assembler:
             self.alloc()                   # one-unit inter-gate gap
         h = self._height(delta)
         half = delta / 2
-        self.blocks.append([(in_left + half, in_left + 1 - half, h),
-                            (out_left, out_left + 1, h)])
-        self.roles.append(role)
-        self.gates.append(("vol", in_left, out_left, delta))
-        self.forced.append((out_left, 1))
+        self.gates.append([(in_left + half, in_left + 1 - half, h),
+                           (out_left, out_left + 1, h)])
         return out_left
 
-    def neg(self, in_left, out_left=None, role="neg"):
-        return self.volume(2 * self.eps, in_left, out_left, role=role)
+    def neg(self, in_left, out_left=None):
+        return self.volume(2 * self.eps, in_left, out_left)
 
-    def const(self, zeta, in_left, role="const"):
+    def const(self, zeta, in_left):
         """Constant zeta from a reference wire carrying +-1."""
         zeta = rat(zeta)
         if not -1 <= zeta <= 1:
             raise ValueError("constant outside [-1, 1]")
         if zeta <= 0:
             delta = max(1 + zeta, 2 * self.eps)
-            return self.volume(delta, in_left, role=role)
-        t = self.const(-zeta, in_left, role=role)
-        return self.neg(t, role=role)
+            return self.volume(delta, in_left)
+        t = self.const(-zeta, in_left)
+        return self.neg(t)
 
-    def add(self, in1, in2, role="add"):
+    def add(self, in1, in2):
         """v(out) = truncation of v(in1) + v(in2); two negated copies
         read together plus a length-3 balancing interval."""
         ip = self.alloc(2)
-        self.neg(in1, out_left=ip, role=role)
-        self.neg(in2, out_left=ip + 1, role=role)
+        self.neg(in1, out_left=ip)
+        self.neg(in2, out_left=ip + 1)
         j = self.alloc(3)
         self.alloc()                       # one-unit inter-gate gap
         fifth = Fraction(1, 5)
-        self.blocks.append([(ip, ip + 2, fifth), (j, j + 3, fifth)])
-        self.roles.append(role)
-        self.gates.append(("add", ip, ip + 1, j))
-        self.forced.append((j, 3))
+        self.gates.append([(ip, ip + 2, fifth), (j, j + 3, fifth)])
         return j + 1
 
-    def copy(self, in_left, out_left=None, role="copy"):
-        t = self.neg(in_left, role=role)
-        return self.neg(t, out_left=out_left, role=role)
-
-    def mul_int(self, in_left, k, role="mul"):
+    def mul_int(self, in_left, k):
         """v(out) = truncate(k * v(in)) by double-and-add: one
         add(acc, acc) per binary digit of k after the leading one, plus
         an add(acc, in) for each 1-digit, so at most 2 log2(k) add gates.
@@ -353,32 +344,30 @@ class Assembler:
             raise ValueError("k must be >= 1")
         acc = in_left
         for digit in bin(k)[3:]:
-            acc = self.add(acc, acc, role=role)
+            acc = self.add(acc, acc)
             if digit == "1":
-                acc = self.add(acc, in_left, role=role)
+                acc = self.add(acc, in_left)
         return acc
 
-    def not_(self, b, role="not"):
-        return self.mul_int(self.neg(b, role=role), 2, role=role)
+    def not_(self, b):
+        return self.mul_int(self.neg(b), 2)
 
-    def and_(self, b1, b2, const_in, role="and"):
-        s = self.add(b1, b2, role=role)
-        mh = self.const(Fraction(-1, 2), const_in, role=role)
-        s2 = self.add(s, mh, role=role)
-        return self.mul_int(s2, 4, role=role)
+    def and_(self, b1, b2, const_in):
+        s = self.add(b1, b2)
+        mh = self.const(Fraction(-1, 2), const_in)
+        s2 = self.add(s, mh)
+        return self.mul_int(s2, 4)
 
-    def or_(self, b1, b2, const_in, role="or"):
-        return self.not_(self.and_(self.not_(b1, role=role),
-                                   self.not_(b2, role=role),
-                                   const_in, role=role), role=role)
+    def or_(self, b1, b2, const_in):
+        return self.not_(self.and_(self.not_(b1), self.not_(b2), const_in))
 
-    def emit_circuit(self, circuit, input_wires, const_in, role="circuit"):
+    def emit_circuit(self, circuit, input_wires, const_in):
         """Boolean circuit over the +-1 convention, one gate group per
         operation."""
         return circuit.run(input_wires, {
-            "NOT": lambda b: self.not_(b, role=role),
-            "AND": lambda b1, b2: self.and_(b1, b2, const_in, role=role),
-            "OR": lambda b1, b2: self.or_(b1, b2, const_in, role=role)})
+            "NOT": self.not_,
+            "AND": lambda b1, b2: self.and_(b1, b2, const_in),
+            "OR": lambda b1, b2: self.or_(b1, b2, const_in)})
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +396,12 @@ class Layout:
 
 
 class CompiledCH:
-    def __init__(self, instance, layout, params, labeling, gates, forced,
-                 roles):
+    def __init__(self, instance, layout, params, labeling, gates):
         self.instance = instance
         self.layout = layout
         self.params = params
         self.labeling = labeling
-        self.gates = gates
-        self.forced = forced          # (left, width) per gate agent
-        self.roles = roles
+        self.gates = gates    # Assembler.gates, one per leading agent
 
 
 def compile_tucker(lab, eps=None):
@@ -473,18 +459,15 @@ def compile_tucker(lab, eps=None):
         dest = fstart + (i - 1) * p + (j - 1)
         asm.neg(half, out_left=dest)               # second leg of the copy
     domain_right = fstart + N * p
-    agents = [Valuation([Block(l, r, h) for l, r, h in bl])
-              for bl in asm.blocks]
-    roles = list(asm.roles)
+    agents = [Valuation([Block(l, r, h) for l, r, h in gate])
+              for gate in asm.gates]
     hp = Fraction(1, p)
     for i in range(N):
         left = fstart + i * p
         agents.append(Valuation([Block(left, left + p, hp)]))
-        roles.append("feedback")
     inst = Instance(agents, k=2, domain_right=domain_right)
     layout = Layout(N, p, q, fstart, domain_right)
-    return CompiledCH(inst, layout, params, lab, asm.gates, asm.forced,
-                      roles)
+    return CompiledCH(inst, layout, params, lab, asm.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +510,15 @@ def simulate_phases(lab, x, j, const_sign, params):
 # forward placement
 
 
-def _wire_value(lab0, cut, left):
-    if cut is None:
-        return Fraction(lab0)
-    return lab0 * (2 * (cut - left) - 1)
-
-
-def _signed_over(lab0, cut, ia, ib):
-    """Signed length of [ia, ib] inside a wire with incoming label sign
-    lab0 and an optional cut."""
-    if cut is None:
-        return lab0 * (ib - ia)
-    t = min(max(cut, ia), ib)
-    return lab0 * ((t - ia) - (ib - t))
-
-
 def forward_place(compiled, x, const_sign=1):
     """Deterministic witness: encode x in the coordinate cells, then
-    give every gate agent the unique cut in its forced interval that
-    balances it exactly.  Labels alternate starting with "+".
+    give every gate agent the unique cut in its output block [l, r] that
+    balances it exactly.  With s the signed length of the input block
+    under the cuts placed so far and L = +-1 the label at l, that cut is
+    t = (l + r - L s) / 2, where the output block's signed length
+    L ((t - l) - (r - t)) is -s; the equal heights make the agent
+    balanced.  Labels alternate along the domain, so L is fixed by the
+    number of cuts left of l.
     Requires |x_i| <= 1.  Each coordinate cell holds exactly one cut; at
     x_i = +-1 that cut sits on an edge of the cell, so the whole cell
     carries one label and reads +-1, and the gate agents are still
@@ -559,15 +532,13 @@ def forward_place(compiled, x, const_sign=1):
     x = [rat(v) for v in x]
     if any(abs(v) > 1 for v in x):
         raise ValueError("coordinates must lie in [-1, 1]")
-    rights = sorted(l + w for l, w in compiled.forced)
+    rights = sorted(out[1] for _, out in compiled.gates)
     # the N coordinate cuts sit left of everything else; start with the
     # label parity that makes the constant cells read +1
     start = 1 if N % 2 == 0 else -1
-
-    def parity_sign(pos):
-        k = N + bisect_right(rights, pos)
-        return start if k % 2 == 0 else -start
-
+    # unit cell -> (label at the left end of the interval holding it, the
+    # interval's cut or None); the signed length of [lo, hi] inside that
+    # interval is label * ((c - lo) - (hi - c)), c the cut clamped to it
     wires = {}
     cuts = []     # (slot_key, position)
     for i in range(N):
@@ -577,40 +548,23 @@ def forward_place(compiled, x, const_sign=1):
         cuts.append((i, t))
     for j in range(compiled.layout.p):
         wires[N + j] = (1, None)
-    for g in compiled.gates:
-        if g[0] == "vol":
-            _, in_left, out_left, delta = g
-            lab0, cut = wires[in_left]
-            half = delta / 2
-            s_in = _signed_over(lab0, cut, in_left + half,
-                                in_left + 1 - half)
-            L = parity_sign(out_left)
-            t = out_left + (1 - s_in * L) / 2
-            assert out_left < t < out_left + 1
-            wires[out_left] = (L, t)
-            cuts.append((out_left, t))
-        else:
-            _, w1, w2, j_left = g
-            v1 = _wire_value(*wires[w1], w1)
-            v2 = _wire_value(*wires[w2], w2)
-            target = -(v1 + v2)
-            L = parity_sign(j_left)
-            t = j_left + (3 + L * target) / 2
-            assert j_left < t < j_left + 3
-            cuts.append((j_left, t))
-            o = j_left + 1
-            if t <= o:
-                wires[o] = (-L, None)
-            elif t >= o + 1:
-                wires[o] = (L, None)
-            else:
-                wires[o] = (L, t)
+    for (a, b, _), (l, r, _) in compiled.gates:
+        s = 0
+        for u in range(int(a), math.ceil(b)):
+            lab0, cut = wires[u]
+            lo, hi = max(a, u), min(b, u + 1)
+            c = hi if cut is None else min(max(cut, lo), hi)
+            s = lab0 * ((c - lo) - (hi - c)) + s
+        L = start if (N + bisect_right(rights, l)) % 2 == 0 else -start
+        t = (l + r - L * s) / 2
+        assert l < t < r
+        cuts.append((l, t))
+        for u in range(l, r):
+            wires[u] = (L, t)
     cuts.sort(key=lambda kv: kv[0])
     positions = [t for _, t in cuts]
-    first = PLUS if start == 1 else MINUS
-    labels = [first if s % 2 == 0 else (MINUS if first == PLUS else PLUS)
-              for s in range(len(positions) + 1)]
-    return Solution(positions, labels)
+    return Solution(positions, alternating_labels(
+        len(positions) + 1, PLUS if start == 1 else MINUS))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +675,7 @@ def decode_solution(compiled, sol):
     lambda(u) = -lambda(w) and ||u - w||_inf <= 1.
 
     Reads x from the coordinate cells, classifies stray cuts (a
-    simulator is corrupted if a forced interval of its gets two cuts or
+    simulator is corrupted if an output block of its gets two cuts or
     its constant cell is intersected), then scans the displaced points
     T[const_j * x + j alpha] of the surviving simulators, reflecting
     the candidates of negative-constant simulators through the
@@ -729,15 +683,15 @@ def decode_solution(compiled, sol):
     lay = compiled.layout
     N, p, alpha = lay.N, lay.p, compiled.params.alpha
     x = [encoded_value(sol, i) for i in range(N)]
-    # one exact merged pass over the sorted cuts and the sorted forced
-    # intervals (disjoint: each gate's is freshly allocated) counts the
-    # cuts strictly inside each interval and collects the other cuts
-    intervals = sorted(compiled.forced)
+    # one exact merged pass over the sorted cuts and the sorted output
+    # blocks (disjoint: each gate's is freshly allocated) counts the
+    # cuts strictly inside each block and collects the other cuts
+    intervals = sorted(out[:2] for _, out in compiled.gates)
     inside = [0] * len(intervals)
     free = []
     k = 0
     for t in sol.cuts:
-        while k < len(intervals) and sum(intervals[k]) <= t:
+        while k < len(intervals) and intervals[k][1] <= t:
             k += 1
         if k < len(intervals) and intervals[k][0] < t:
             inside[k] += 1

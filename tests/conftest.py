@@ -6,18 +6,33 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
-                        balance, label_masses, verify)
+from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
+                        alternating_labels, balance, label_masses, verify)
 from chdiv.gen import random_single_block_instance, random_dblock_instance
-from chdiv import greedy
+from chdiv import greedy, tucker
 
 
 HALF = Fraction(1, 2)
 
 
 def alternating_solution(cuts):
-    labels = [PLUS if i % 2 == 0 else MINUS for i in range(len(cuts) + 1)]
-    return Solution(cuts, labels)
+    return Solution(cuts, alternating_labels(len(cuts) + 1))
+
+
+def gate_rig(eps, builder, n_coords, n_consts):
+    """Tucker gate agents assembled by builder(asm) after n_coords
+    coordinate cells and n_consts constant cells (each reading +1), as
+    a CompiledCH that forward_place accepts: (builder's result,
+    compiled)."""
+    origin = n_coords + n_consts
+    asm = tucker.Assembler(eps, origin=origin)
+    outs = builder(asm)
+    agents = [Valuation([Block(l, r, h) for l, r, h in gate])
+              for gate in asm.gates]
+    inst = Instance(agents, k=2, domain_right=asm.cursor)
+    layout = tucker.Layout(n_coords, n_consts, asm.cursor - origin,
+                           asm.cursor, asm.cursor)
+    return outs, tucker.CompiledCH(inst, layout, None, None, asm.gates)
 
 
 def check_greedy_invariants(inst):

@@ -18,7 +18,7 @@ from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                         balance, verify, encoded_value, truncate)
 from chdiv import dp, greedy, lp, oracle, tucker, fixp
 from conftest import (random_single_block_instance, random_dblock_instance,
-                      check_greedy_invariants)
+                      check_greedy_invariants, gate_rig)
 
 
 F = Fraction
@@ -169,16 +169,16 @@ STEP = F(1, 2 ** 17)
 
 
 def _certified_outputs(comp, sol, agent_index, reader_left, eps_tol):
-    """Sweep the one cut in the agent's forced interval over a fine grid
+    """Sweep the one cut in the agent's output block over a fine grid
     through its placed position; return the encoded output value at
     every sweep position that keeps the agent within eps_tol."""
-    left, width = comp.forced[agent_index]
-    inside = [i for i, c in enumerate(sol.cuts) if left < c < left + width]
+    _, (left, right, _) = comp.gates[agent_index]
+    inside = [i for i, c in enumerate(sol.cuts) if left < c < right]
     assert len(inside) == 1
     t_star = sol.cuts[inside[0]]
     fixed = [c for i, c in enumerate(sol.cuts) if i != inside[0]]
     a = min(32, int((t_star - left) / STEP))
-    b = min(32, int((left + width - t_star) / STEP))
+    b = min(32, int((right - t_star) / STEP))
     hits = oracle.enumerate_gate_cuts(
         comp.instance, agent_index, fixed, sol.labels,
         (t_star - a * STEP, t_star + b * STEP), eps_tol, a + b)
@@ -187,31 +187,15 @@ def _certified_outputs(comp, sol, agent_index, reader_left, eps_tol):
             for _, s in hits]
 
 
-def _rig(builder, n_coords, n_consts):
-    asm = tucker.Assembler(EPS, origin=n_coords + n_consts)
-    outs = builder(asm)
-    agents = [Valuation([Block(l, r, h) for l, r, h in bl])
-              for bl in asm.blocks]
-    inst = Instance(agents, k=2, domain_right=asm.cursor)
-    layout = tucker.Layout(n_coords, n_consts,
-                           asm.cursor - (n_coords + n_consts),
-                           asm.cursor, asm.cursor)
-    comp = tucker.CompiledCH(inst, layout, None, None, asm.gates,
-                             asm.forced, asm.roles)
-    return outs, comp
-
-
 def _gate_agent_for_output(comp, wire):
-    for i, g in enumerate(comp.gates):
-        if g[0] == "vol" and g[2] == wire:
-            return i
-        if g[0] == "add" and g[3] + 1 == wire:
+    for i, (_, (left, right, _)) in enumerate(comp.gates):
+        if left <= wire and wire + 1 <= right:
             return i
     raise AssertionError("no gate writes wire %s" % wire)
 
 
 def test_negation_gate_error_bound():
-    w, comp = _rig(lambda asm: asm.neg(0), 1, 0)
+    w, comp = gate_rig(EPS, lambda asm: asm.neg(0), 1, 0)
     idx = _gate_agent_for_output(comp, w)
     for x in GRID33:
         sol = tucker.forward_place(comp, [x])
@@ -220,7 +204,7 @@ def test_negation_gate_error_bound():
 
 
 def test_addition_gate_error_bound():
-    w, comp = _rig(lambda asm: asm.add(0, 1), 2, 0)
+    w, comp = gate_rig(EPS, lambda asm: asm.add(0, 1), 2, 0)
     idx = _gate_agent_for_output(comp, w)
     for x1 in GRID33:
         for x2 in GRID33:
@@ -235,7 +219,7 @@ def test_boolean_gates_perfect_bits():
         return {"not": asm.not_(0),
                 "and": asm.and_(0, 1, 3),
                 "or": asm.or_(0, 1, 3)}
-    outs, comp = _rig(build, 2, 2)
+    outs, comp = gate_rig(EPS, build, 2, 2)
     expected = {"not": lambda b1, b2: -b1,
                 "and": lambda b1, b2: min(b1, b2),
                 "or": lambda b1, b2: max(b1, b2)}

@@ -188,6 +188,34 @@ def test_gen_copies(tmp_path, capsys):
     assert json.loads(out)["agents"] == 6
 
 
+def test_gen_copies_without_in_is_exit_1(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "copies")
+    assert code == 1 and out == ""
+    assert "--in" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--eps", "1/2", "--grid", "8", "--max-cuts", "-1"],
+     "max_cuts must be >= 0"),
+    (["oracle", "--eps", "-1", "--grid", "8", "--max-cuts", "1"],
+     "eps must be >= 0"),
+    (["solve", "--algo", "greedy", "--eps", "-1"], "eps must be >= 0"),
+    (["verify", "--eps=-1/3", "--solution", "SOL"], "eps must be >= 0"),
+])
+def test_negative_budget_or_eps_is_exit_1(tmp_path, capsys, argv, message):
+    # an unsupported input is exit 1, never a negative answer (exit 2)
+    inst = gen_instance(tmp_path, capsys, n="2")
+    solp = tmp_path / "sol.json"
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(solp))[0] == 0
+    argv = [str(solp) if a == "SOL" else a for a in argv]
+    try:
+        code, out, err = run(capsys, *argv, "--in", str(inst))
+    except SystemExit as e:
+        code, err = e.code, capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_bad_input_exit_codes(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--in", str(tmp_path / "nope.json"),
                      "--solution", str(tmp_path / "nope.json"), "--eps", "0")

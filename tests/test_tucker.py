@@ -1,3 +1,4 @@
+import bisect
 import collections
 import itertools
 from fractions import Fraction
@@ -5,18 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
+from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value, truncate, balance)
 from chdiv.tucker import (BoolCircuit, CircuitBuilder, TuckerLabeling,
                           decode_label, point_bits, bits_to_coord,
                           demo_labeling, snake_embed, snake_preimage,
-                          ReductionParams, dist_to_B, cell_of,
-                          Assembler, Layout, CompiledCH,
+                          ReductionParams, dist_to_B, cell_of, Assembler,
                           compile_tucker, simulate_phases, forward_place,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
-from conftest import MUTATIONS, mutate
+from conftest import MUTATIONS, gate_rig, mutate
 
 
 F = Fraction
@@ -105,25 +105,6 @@ def test_compile_rejects_a_labeling_that_is_not_antisymmetric():
 # --- gate agents ------------------------------------------------------------
 
 
-def _mini_rig(builder, n_wires):
-    """Assemble gates over n_wires input wires; wires N..n_wires-1 carry
-    the +1 reference constant."""
-    asm = Assembler(EPS, origin=n_wires)
-    outs = builder(asm)
-    agents = [Valuation([Block(l, r, h) for l, r, h in bl])
-              for bl in asm.blocks]
-    inst = Instance(agents, k=2, domain_right=asm.cursor)
-    return outs, asm, inst
-
-
-def _compiled(asm, inst, n_coords, n_consts):
-    layout = Layout(n_coords, n_consts,
-                    asm.cursor - (n_coords + n_consts), asm.cursor,
-                    asm.cursor)
-    return CompiledCH(inst, layout, None, None, asm.gates, asm.forced,
-                      asm.roles)
-
-
 def clamp(v, d):
     return max(-(1 - d), min(1 - d, v))
 
@@ -134,12 +115,12 @@ def test_arithmetic_gates_forward_exact():
                 "neg": asm.neg(0),
                 "add": asm.add(0, asm.const(F(-3, 4), 1)),
                 "pos": asm.const(F(1, 2), 1),
-                "copy": asm.copy(0),
+                "copy": asm.neg(asm.neg(0)),
                 "mul3": asm.mul_int(0, 3),
                 "mul5": asm.mul_int(0, 5),
                 "mul4096": asm.mul_int(0, 4096)}
-    outs, asm, inst = _mini_rig(build, 2)
-    comp = _compiled(asm, inst, 1, 1)
+    outs, comp = gate_rig(EPS, build, 1, 1)
+    inst = comp.instance
     for xv in [F(0), F(1, 3), F(-1, 2), F(7, 8), F(1), F(-1)]:
         sol = forward_place(comp, [xv])
         assert verify(inst, sol, 0).satisfied
@@ -170,8 +151,8 @@ def test_boolean_gates_exact_on_perfect_bits():
         return {"not": asm.not_(0),
                 "and": asm.and_(0, 1, 3),
                 "or": asm.or_(0, 1, 3)}
-    outs, asm, inst = _mini_rig(build, 4)
-    comp = _compiled(asm, inst, 2, 2)
+    outs, comp = gate_rig(EPS, build, 2, 2)
+    inst = comp.instance
     for b1, b2 in itertools.product((1, -1), repeat=2):
         sol = forward_place(comp, [b1, b2])
         assert verify(inst, sol, 0).satisfied
@@ -229,7 +210,39 @@ def test_compile_structure_1d(compiled_1d):
     assert comp.instance.domain_right == lay.feedback_start + lay.N * lay.p
     assert comp.instance.cut_budget == comp.instance.n
     assert audit_two_block_uniform(comp.instance)
-    assert comp.roles[-1] == "feedback"
+    # the agents after the gate agents are the N feedback agents, one
+    # uniform block of height 1/p over F_i; balance_report, decode and
+    # perfbench's tucker-reduce audit split the agents there
+    fs, p = lay.feedback_start, lay.p
+    assert comp.instance.agents[len(comp.gates):] == tuple(
+        Valuation([Block(fs + i * p, fs + (i + 1) * p, F(1, p))])
+        for i in range(lay.N))
+
+
+@pytest.fixture(scope="module")
+def compiled_2d():
+    return compile_tucker(demo_labeling(2), EPS)
+
+
+@pytest.mark.parametrize("fixture,x", [
+    ("compiled_1d", (F(-1, 32),)), ("compiled_1d", (F(-1),)),
+    ("compiled_2d", (F(-1, 32), F(0))), ("compiled_2d", (F(3, 8), F(-5, 16)))])
+def test_gate_agents_are_their_two_block_records(request, fixture, x):
+    # every gate agent is its record [input block, output block]: two
+    # blocks of one height, the input left of the output; forward_place
+    # puts exactly one cut strictly inside each output block and the N
+    # coordinate cuts besides
+    comp = request.getfixturevalue(fixture)
+    for gate, agent in zip(comp.gates, comp.instance.agents):
+        (a, b, h), (l, r, h_out) = gate
+        assert h == h_out and a < b <= l < r
+        assert agent == Valuation([Block(*k) for k in gate])
+    for const_sign in (1, -1):
+        cuts = forward_place(comp, x, const_sign).cuts
+        assert len(cuts) == comp.layout.N + len(comp.gates)
+        for _, (l, r, _) in comp.gates:
+            inside = bisect.bisect_left(cuts, r) - bisect.bisect_right(cuts, l)
+            assert inside == 1, (l, r, inside)
 
 
 def test_forward_place_gate_exact_1d(compiled_1d):
