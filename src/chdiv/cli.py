@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -28,6 +29,13 @@ TUCKER_N = (1, 4)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a '-' then a digit is a value, so a negative rational such as
+        # "--eps -1/3" reaches its type check; argparse's own pattern
+        # admits only forms like -1 and -0.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
@@ -101,9 +109,17 @@ def _emit(report, args):
             print("%s: %s" % (k, report[k]))
 
 
+def _budget(inst, sol):
+    """The cut count against the instance's budget; `satisfied` and the
+    exit code read only the balance."""
+    return {"cuts_used": len(sol.cuts),
+            "within_budget": len(sol.cuts) <= inst.cut_budget}
+
+
 def _report_solution(inst, sol, eps, t0):
     rep = verify(inst, sol, eps)
     return {
+        **_budget(inst, sol),
         "cuts": [rat_str(c) for c in sol.cuts],
         "labels": list(sol.labels),
         "max_discrepancy": rat_str(rep.max_discrepancy),
@@ -119,6 +135,7 @@ def _report_solution(inst, sol, eps, t0):
 def cmd_solve(args):
     t0 = time.perf_counter()
     inst = instance_from_obj(_load_json(args.infile))
+    extra = {}
     if args.algo == "greedy":
         sol = greedy.solve_half(inst)
         eps = args.eps if args.eps is not None else Fraction(1, 2)
@@ -126,16 +143,16 @@ def cmd_solve(args):
         res = dp.dp_solve(inst, args.eps, m=args.grid)
         if not res.feasible:
             _emit({"feasible": False, "states_visited": res.states_visited,
-                   "m": res.m}, args)
+                   "m": res.m, "d": res.d}, args)
             return 2
-        sol, eps = res.solution, args.eps
+        sol, eps, extra = res.solution, args.eps, {"d": res.d}
     else:
         sol = lp.solve_with_budget(inst, args.ell)
         if sol is None:
             _emit({"feasible": False}, args)
             return 2
         eps = args.eps if args.eps is not None else Fraction(0)
-    report = _report_solution(inst, sol, eps, t0)
+    report = {**_report_solution(inst, sol, eps, t0), **extra}
     _write_json(solution_to_obj(sol), args.out)
     if args.csv:
         print("cuts,max_discrepancy,runtime_s")
@@ -155,7 +172,7 @@ def cmd_verify(args):
         for i, d in enumerate(rep.per_agent_discrepancy):
             print("%d,%s" % (i, rat_str(d)))
     else:
-        _emit({"satisfied": rep.satisfied,
+        _emit({**_budget(inst, sol), "satisfied": rep.satisfied,
                "max_discrepancy": rat_str(rep.max_discrepancy),
                "per_agent": [rat_str(d) for d in rep.per_agent_discrepancy]},
               args)

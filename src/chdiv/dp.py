@@ -78,14 +78,13 @@ def _snap_tie_down(x, m):
 
 
 class DPResult:
-    def __init__(self, solution, states_visited, m, d, M):
+    def __init__(self, solution, states_visited, m, d):
         self.solution = solution          # None when infeasible at grid
         # table entries of the one exact search; `chdiv solve --algo dp
         # --json` reports it when the answer is infeasible
         self.states_visited = states_visited
         self.m = m
-        self.d = d
-        self.M = M
+        self.d = d      # the paper's parameter: InstanceStats.d
 
     @property
     def feasible(self):
@@ -188,4 +187,4 @@ def dp_solve(inst, eps, m=None):
             # from "+" is that or its flip, which negates every balance
             sol = Solution(cuts, alternating_labels(t + 1))
             break
-    return DPResult(sol, len(memo), m, stats.d, stats.M)
+    return DPResult(sol, len(memo), m, stats.d)

@@ -10,6 +10,7 @@ X(I) = I[0,1] u I[2,4] u I[5,7] u I[8,9] carries a value in [-1,1]
 between intervals.
 """
 
+import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -173,31 +174,12 @@ def to_truncated(circuit):
 
 
 # ---------------------------------------------------------------------------
-# layout and compilation
+# compilation
 
-
-class KDivLayout:
-    """Interval bookkeeping: length-9 intervals separated by one-unit
-    gaps, the first six reserved as Out1, Out2, Temp1, Temp2, In1,
-    In2."""
-
-    OUT1, OUT2, TEMP1, TEMP2, IN1, IN2 = range(6)
-
-    def __init__(self):
-        self.count = 0
-
-    def alloc(self):
-        i = self.count
-        self.count += 1
-        return i
-
-    @staticmethod
-    def left(idx):
-        return Fraction(10 * idx)
-
-    @property
-    def domain_right(self):
-        return Fraction(10 * self.count - 1)
+# the six reserved intervals; interval i is [10i, 10i + 9]
+OUT1, OUT2, TEMP1, TEMP2, IN1, IN2 = range(6)
+# height of X(O) in the constant and projection agents
+H_FIXED = Fraction(1, 120)
 
 
 def x_set(left):
@@ -205,146 +187,95 @@ def x_set(left):
     return [(left + a, left + b) for a, b in X_PIECES]
 
 
-class KDivGate:
-    """One agent: anchor blocks in its output interval plus input/output
-    value blocks.  in_blocks/out_blocks are (left, right, height)."""
-
-    def __init__(self, kind, out_idx, in_idxs, in_blocks, out_blocks):
-        self.kind = kind
-        self.out_idx = out_idx
-        self.in_idxs = tuple(in_idxs)
-        self.in_blocks = list(in_blocks)
-        self.out_blocks = list(out_blocks)
-
-    def valuation(self, layout):
-        o = layout.left(self.out_idx)
-        blocks = [Block(o + a, o + b, ANCH_H) for a, b in ANCHORS]
-        for l, r, h in self.in_blocks + self.out_blocks:
-            blocks.append(Block(l, r, h))
-        return Valuation(blocks)
-
-
-def make_kdiv_gate(kind, layout, out_idx, in_idxs, zeta=None):
-    """Gate agents for the value-passing machinery.  kind is one of
-    mul_T (zeta <= 0), add_T (computes the negated truncated sum),
-    const_T, projection1, projection2."""
-    o = layout.left(out_idx)
-    out_blocks = []
-    in_blocks = []
-    if kind == "mul_T":
-        zeta = rat(zeta)
-        if zeta > 0:
-            raise ValueError("mul_T gate takes zeta <= 0")
-        (i,) = in_idxs
-        il = layout.left(i)
-        hi = abs(zeta) / (60 * (abs(zeta) + 1))
-        ho = Fraction(1, 60 * (abs(zeta) + 1))
-        in_blocks = [(a, b, hi) for a, b in x_set(il)] if hi > 0 else []
-        out_blocks = [(a, b, ho) for a, b in x_set(o)]
-    elif kind == "add_T":
-        i1, i2 = in_idxs
-        h = Fraction(1, 180)
-        in_blocks = ([(a, b, h) for a, b in x_set(layout.left(i1))]
-                     + [(a, b, h) for a, b in x_set(layout.left(i2))])
-        out_blocks = [(a, b, h) for a, b in x_set(o)]
-    elif kind == "const_T":
-        zeta = rat(zeta)
-        if not -1 <= zeta <= 1:
-            raise ValueError("constant outside [-1, 1]")
-        (i,) = in_idxs           # always Out1
-        il = layout.left(i)
-        in_blocks = [(il, il + Fraction(1, 2), (1 - zeta / 2) / 30),
-                     (il + Fraction(17, 4), il + Fraction(19, 4),
-                      (1 + zeta / 2) / 30),
-                     (il + Fraction(17, 2), il + 9, Fraction(1, 30))]
-        out_blocks = [(a, b, Fraction(1, 120)) for a, b in x_set(o)]
-    elif kind == "projection1":
-        (i,) = in_idxs           # Out1
-        il = layout.left(i)
-        in_blocks = [(il + Fraction(17, 2), il + 9, Fraction(1, 30)),
-                     (il + 2, il + 4, Fraction(1, 120)),
-                     (il, il + Fraction(1, 2), Fraction(1, 60)),
-                     (il + Fraction(17, 4), il + Fraction(19, 4),
-                      Fraction(1, 60))]
-        out_blocks = [(a, b, Fraction(1, 120)) for a, b in x_set(o)]
-    elif kind == "projection2":
-        (i,) = in_idxs           # Out2
-        il = layout.left(i)
-        in_blocks = [(il, il + Fraction(1, 2), Fraction(1, 30)),
-                     (il + 5, il + 7, Fraction(1, 120)),
-                     (il + Fraction(17, 4), il + Fraction(19, 4),
-                      Fraction(1, 60)),
-                     (il + Fraction(17, 2), il + 9, Fraction(1, 60))]
-        out_blocks = [(a, b, Fraction(1, 120)) for a, b in x_set(o)]
-    else:
-        raise ValueError("unknown gate kind %r" % (kind,))
-    in_blocks = [(l, r, h) for l, r, h in in_blocks if h > 0]
-    return KDivGate(kind, out_idx, in_idxs, in_blocks, out_blocks)
-
-
 class CompiledKDiv:
-    def __init__(self, instance, layout, gates):
+    def __init__(self, instance, outs):
         self.instance = instance
-        self.layout = layout
-        self.gates = gates          # KDivGate list, topological
+        self.outs = outs            # output interval of each agent
 
 
 def compile_fixp(circuit):
     """Full instance: the circuit's gates over fresh intervals, the two
     outputs copied into Out1/Out2 via negation pairs, projection agents
     Out -> Temp and negations Temp -> In closing the loop.  k = 3, one
-    output interval per agent, cut budget 2n."""
-    layout = KDivLayout()
-    for _ in range(6):
-        layout.alloc()
-    gates = []      # placement order: circuit first, then projections
+    output interval per agent, cut budget 2n.
 
-    def neg(src_idx, dst_idx=None):
-        if dst_idx is None:
-            dst_idx = layout.alloc()
-        gates.append(make_kdiv_gate("mul_T", layout, dst_idx, (src_idx,),
-                                    zeta=Fraction(-1)))
-        return dst_idx
+    Intervals are numbered left to right: the reserved OUT1, OUT2,
+    TEMP1, TEMP2, IN1, IN2, then one fresh interval per further agent
+    in placement order.  The agent with output interval o = outs[i]
+    owns O = [10o, 10o + 9] and is three anchor blocks of height 3/10
+    in O, X(O) at one height h, and input blocks in the intervals it
+    reads:
+    - MUL zeta: X(input) at |zeta| h, h = 1/(60 (|zeta| + 1)), and no
+      input block when zeta = 0; O carries -|zeta| times the input,
+      and zeta > 0 adds a negation (MUL -1);
+    - ADD: X of both inputs at h = 1/180; O carries the negated
+      truncated sum, and a negation follows;
+    - CONST and the projections Out1 -> Temp1, Out2 -> Temp2: fixed
+      blocks of Out1 or Out2, and h = 1/120.
+    Each agent reads only intervals placed before it by
+    forward_place_kdiv, or (constants) Out1 off its well-cut
+    windows."""
+    outs, agents = [], []
+    fresh = itertools.count(6)
 
-    # each closure places one circuit gate and returns the interval that
-    # carries its value
-    def add(ia, ib):
-        if ia == ib:                # duplicate the wire to keep the
-            ib = neg(neg(ib))       # three intervals disjoint
-        t = layout.alloc()
-        gates.append(make_kdiv_gate("add_T", layout, t, (ia, ib)))
-        return neg(t)
+    def agent(out, in_blocks, h_out):
+        o = 10 * out
+        outs.append(out)
+        agents.append(Valuation(
+            [Block(o + a, o + b, ANCH_H) for a, b in ANCHORS]
+            + [Block(a, b, h_out) for a, b in x_set(o)]
+            + [Block(*blk) for blk in in_blocks]))
+        return out
 
-    def mul(z, ia):
-        t = layout.alloc()
-        gates.append(make_kdiv_gate("mul_T", layout, t, (ia,), zeta=-abs(z)))
+    def reads(i, h):
+        return [(a, b, h) for a, b in x_set(10 * i)]
+
+    def mul(z, i, out=None):
+        z = abs(z)
+        h = Fraction(1, 60 * (z + 1))
+        return agent(next(fresh) if out is None else out,
+                     reads(i, z * h) if z else [], h)
+
+    def neg(i, out=None):
+        return mul(-1, i, out)
+
+    def add(a, b):
+        if a == b:                  # duplicate the wire to keep the
+            b = neg(neg(b))         # three intervals disjoint
+        h = Fraction(1, 180)
+        return neg(agent(next(fresh), reads(a, h) + reads(b, h), h))
+
+    def times(z, a):
+        t = mul(z, a)
         return t if z <= 0 else neg(t)
 
     def const(z):
-        t = layout.alloc()
-        gates.append(make_kdiv_gate("const_T", layout, t,
-                                    (KDivLayout.OUT1,), zeta=z))
-        return t
+        return agent(next(fresh),
+                     [(0, Fraction(1, 2), (1 - z / 2) / 30),
+                      (Fraction(17, 4), Fraction(19, 4), (1 + z / 2) / 30),
+                      (Fraction(17, 2), 9, Fraction(1, 30))], H_FIXED)
 
-    outs = circuit.run((KDivLayout.IN1, KDivLayout.IN2),
-                       {"ADD": add, "MUL": mul, "CONST": const})
+    wires = circuit.run((IN1, IN2), {"ADD": add, "MUL": times,
+                                     "CONST": const})
     # route the two circuit outputs into Out1/Out2 (negation pairs keep
     # the value and avoid block overlap when an output is a constant or
     # an input wire)
-    for iv, dst in zip(outs, (KDivLayout.OUT1, KDivLayout.OUT2)):
-        neg(neg(iv), dst)
+    for w, out in zip(wires, (OUT1, OUT2)):
+        neg(neg(w), out)
     # feedback: Out -> Temp (projection) -> In (negation)
-    gates.append(make_kdiv_gate("projection1", layout, KDivLayout.TEMP1,
-                                (KDivLayout.OUT1,)))
-    neg(KDivLayout.TEMP1, KDivLayout.IN1)
-    gates.append(make_kdiv_gate("projection2", layout, KDivLayout.TEMP2,
-                                (KDivLayout.OUT2,)))
-    neg(KDivLayout.TEMP2, KDivLayout.IN2)
-    if layout.count != len(gates):
+    agent(TEMP1, [(Fraction(17, 2), 9, Fraction(1, 30)), (2, 4, H_FIXED),
+                  (0, Fraction(1, 2), Fraction(1, 60)),
+                  (Fraction(17, 4), Fraction(19, 4), Fraction(1, 60))],
+          H_FIXED)
+    neg(TEMP1, IN1)
+    agent(TEMP2, [(10, Fraction(21, 2), Fraction(1, 30)), (15, 17, H_FIXED),
+                  (Fraction(57, 4), Fraction(59, 4), Fraction(1, 60)),
+                  (Fraction(37, 2), 19, Fraction(1, 60))], H_FIXED)
+    neg(TEMP2, IN2)
+    if next(fresh) != len(agents):
         raise AssertionError("interval/agent count mismatch")
-    agents = [g.valuation(layout) for g in gates]
-    inst = Instance(agents, k=3, domain_right=layout.domain_right)
-    return CompiledKDiv(inst, layout, gates)
+    inst = Instance(agents, k=3, domain_right=10 * len(agents) - 1)
+    return CompiledKDiv(inst, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +356,14 @@ def _invert_cdf(v, target, lo, hi):
 
 
 def forward_place_kdiv(compiled, x):
-    """Deterministic witness: encode x in In1/In2, then walk the gate
-    agents in placement order giving each output interval the two cuts
-    that hand every label exactly 1/3 of the agent's mass.  The
+    """Deterministic witness: encode x in In1/In2, then walk the agents
+    in placement order giving each output interval the two cuts that
+    hand every label exactly 1/3 of the agent's mass.  An agent's input
+    intervals are the ones its blocks meet outside its own.  The
     negation agents that write In1/In2 get no new cuts (those are the
     input cuts); their residual imbalance is zero exactly when x is a
     fixed point."""
-    lay = compiled.layout
-    n = lay.count
+    n = len(compiled.outs)
     patterns = []
     # the leftmost segment is labeled A, so Out1 reads A, B, C
     prev = A
@@ -441,21 +372,17 @@ def forward_place_kdiv(compiled, x):
         patterns.append(pat)
         prev = pat[2]
     cuts_of = [None] * n
-    x = [rat(v) for v in x]
-    for xi, idx in zip(x, (KDivLayout.IN1, KDivLayout.IN2)):
+    for xi, idx in zip(x, (IN1, IN2)):
         t1, t2 = _encode_cuts(patterns[idx], xi)
-        o = lay.left(idx)
-        cuts_of[idx] = (o + t1, o + t2)
+        cuts_of[idx] = (10 * idx + t1, 10 * idx + t2)
 
     third = Fraction(1, 3)
-    # agents[i] is the valuation compiled from gates[i]
-    for v, g in zip(compiled.instance.agents, compiled.gates):
-        idx = g.out_idx
+    for v, idx in zip(compiled.instance.agents, compiled.outs):
         if cuts_of[idx] is not None:
             continue            # In1/In2 writers: cuts already present
         acc = dict.fromkeys((A, B, C), Fraction(0))
-        for iv in g.in_idxs:
-            il = lay.left(iv)
+        for iv in {blk.left // 10 for blk in v.blocks} - {idx}:
+            il = Fraction(10 * iv)
             cuts = cuts_of[iv]
             if cuts is None:
                 # constant gates read Out1 before the circuit output
@@ -471,16 +398,16 @@ def forward_place_kdiv(compiled, x):
             lm = label_masses(v, cuts, patterns[iv], (A, B, C), il, il + 9)
             for lab in acc:
                 acc[lab] += lm[lab]
-        o = lay.left(idx)
+        o = Fraction(10 * idx)
         p, q, r = patterns[idx]
-        # v's own mass in [o, o + 9] is the anchors plus the output
-        # blocks; r's share is the mass right of t2
+        # v's own mass in [o, o + 9] is the anchors plus X(O); r's share
+        # is the mass right of t2
         t1 = _invert_cdf(v, v.cdf(o) + third - acc[p], o, o + 9)
         t2 = _invert_cdf(v, v.cdf(o + 9) - (third - acc[r]), o, o + 9)
         if not (o + WELL_CUT_1[0] <= t1 <= o + WELL_CUT_1[1]
                 and o + WELL_CUT_2[0] <= t2 <= o + WELL_CUT_2[1]):
-            raise AssertionError("gate %s cuts outside well-cut windows: "
-                                 "%s %s" % (g.kind, t1 - o, t2 - o))
+            raise AssertionError("interval %d cuts outside well-cut "
+                                 "windows: %s %s" % (idx, t1 - o, t2 - o))
         cuts_of[idx] = (t1, t2)
     cuts = []
     labels = [patterns[0][0]]
@@ -518,8 +445,8 @@ def decode_fixed_point(sol):
     and In2 sit at the same place in every compiled circuit."""
     sol = _rename_for_out1(sol)
     vals = []
-    for idx in (KDivLayout.IN1, KDivLayout.IN2):
-        st = encoding_status(sol, KDivLayout.left(idx))
+    for idx in (IN1, IN2):
+        st = encoding_status(sol, 10 * idx)
         if not st.valid:
             raise KDivDecodeFailure("input interval %d is not a valid "
                                     "encoding" % idx)

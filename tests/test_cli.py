@@ -89,7 +89,8 @@ def test_solve_dp_infeasible_grid(tmp_path, capsys):
                        "1/1000000", "--in", str(inst), "--grid", "2",
                        "--json")
     assert code == 2
-    assert json.loads(out)["feasible"] is False
+    report = json.loads(out)
+    assert report["feasible"] is False and report["d"] == 1
 
 
 def test_solve_dp_on_a_longer_domain(tmp_path, capsys):
@@ -103,7 +104,8 @@ def test_solve_dp_on_a_longer_domain(tmp_path, capsys):
     solp = tmp_path / "sol.json"
     code, out, _ = run(capsys, "solve", "--algo", "dp", "--eps", "1/4",
                        "--in", str(inst), "--out", str(solp), "--json")
-    assert code == 0 and json.loads(out)["satisfied"] is True
+    report = json.loads(out)
+    assert code == 0 and report["satisfied"] is True and report["d"] == 1
     sol = solution_from_obj(json.loads(solp.read_text()))
     parsed = instance_from_obj(json.loads(inst.read_text()))
     assert len(sol.cuts) <= parsed.cut_budget
@@ -201,6 +203,7 @@ def test_gen_copies_without_in_is_exit_1(capsys):
      "eps must be >= 0"),
     (["solve", "--algo", "greedy", "--eps", "-1"], "eps must be >= 0"),
     (["verify", "--eps=-1/3", "--solution", "SOL"], "eps must be >= 0"),
+    (["verify", "--eps", "-1/3", "--solution", "SOL"], "eps must be >= 0"),
 ])
 def test_negative_budget_or_eps_is_exit_1(tmp_path, capsys, argv, message):
     # an unsupported input is exit 1, never a negative answer (exit 2)
@@ -214,6 +217,30 @@ def test_negative_budget_or_eps_is_exit_1(tmp_path, capsys, argv, message):
         code, err = e.code, capsys.readouterr().err
     assert code == 1
     assert message in err and "Traceback" not in err
+
+
+def test_solve_and_verify_report_the_cut_budget(tmp_path, capsys):
+    # the lp midpoint solution of three disjoint copies is exact with
+    # 2n - 1 = 29 cuts against a budget of 17: satisfied (exit 0) and
+    # reported over budget
+    base = gen_instance(tmp_path, capsys, seed="1", n="5")
+    inst, solp = tmp_path / "copies.json", tmp_path / "sol.json"
+    assert run(capsys, "gen", "--kind", "copies", "--in", str(base),
+               "--c", "2", "--out", str(inst))[0] == 0
+    code, out, _ = run(capsys, "solve", "--algo", "lp", "--in", str(inst),
+                       "--out", str(solp), "--json")
+    solved = json.loads(out)
+    code2, out, _ = run(capsys, "verify", "--in", str(inst), "--solution",
+                        str(solp), "--eps", "0", "--json")
+    checked = json.loads(out)
+    assert code == code2 == 0
+    for report in (solved, checked):
+        assert report["satisfied"] is True
+        assert report["cuts_used"] == 29 and report["within_budget"] is False
+    code, out, _ = run(capsys, "solve", "--in", str(base), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["within_budget"] is True
+    assert report["cuts_used"] == len(report["cuts"]) <= 5
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_dp_solve_overlapping_agents():
     res = dp_solve(inst, F(1, 4))
     assert res.feasible
     assert verify(inst, res.solution, F(1, 4)).satisfied
-    assert res.d == 2 and res.M == 2
+    assert res.d == 2
 
 
 def test_dp_solve_single_agent_midpoint():

@@ -7,8 +7,9 @@ from chdiv.core import verify
 from chdiv.fixp import (TruncCircuit, LinFixpCircuit, eval_trunc,
                         eval_linfixp, to_truncated, compile_fixp,
                         forward_place_kdiv, decode_fixed_point,
-                        encoding_status, KDivLayout, KDivDecodeFailure,
-                        make_kdiv_gate)
+                        encoding_status, KDivDecodeFailure, ANCHORS,
+                        ANCH_H, WELL_CUT_1, WELL_CUT_2, OUT1, IN1, IN2,
+                        x_set)
 from conftest import MUTATIONS, mutate
 
 
@@ -20,6 +21,12 @@ CONSTS = TruncCircuit.parse(
     "IN x1\nIN x2\nCONST 1/3 -> a\nCONST -1/2 -> b\nOUT a\nOUT b\n")
 HALVE = TruncCircuit.parse(
     "IN x1\nIN x2\nMUL 1/2 x1 -> a\nMUL 1/2 x2 -> b\nOUT a\nOUT b\n")
+# every agent shape: ADD of a duplicated wire, MUL by a positive, a
+# negative and a zero factor, CONST 1 and -1
+MIXED = TruncCircuit.parse(
+    "IN x1\nIN x2\nADD x1 x1 -> d\nMUL 3/5 d -> p\nMUL -1/3 x2 -> m\n"
+    "MUL 0 p -> z\nCONST 1 -> c\nCONST -1 -> e\nADD m z -> s\n"
+    "ADD c e -> t\nOUT s\nOUT t\n")
 
 
 # --- circuit evaluation -----------------------------------------------------
@@ -34,18 +41,6 @@ def test_eval_trunc_basics():
     assert eval_trunc(addc, (F(-3, 4), F(-3, 4))) == (-1, F(-3, 4))
 
 
-def test_gate_valuations_have_unit_mass():
-    layout = KDivLayout()
-    for _ in range(3):
-        layout.alloc()
-    for kind, ins, zeta in [("mul_T", (0,), F(-1)), ("mul_T", (0,), F(-1, 3)),
-                            ("add_T", (0, 1), None), ("const_T", (0,), F(2, 5)),
-                            ("projection1", (0,), None),
-                            ("projection2", (1,), None)]:
-        g = make_kdiv_gate(kind, layout, 2, ins, zeta=zeta)
-        assert g.valuation(layout).mass == 1, kind
-
-
 # --- compile / forward / decode ---------------------------------------------
 
 
@@ -53,6 +48,7 @@ FIXED_POINTS = [
     (CONSTS, (F(1, 3), F(-1, 2))),
     (HALVE, (F(0), F(0))),
     (IDENT, (F(2, 7), F(-3, 5))),
+    (MIXED, (F(0), F(0))),
 ]
 
 
@@ -67,9 +63,38 @@ def test_fixed_points_verify_and_decode(circ, fp):
     assert rep.satisfied, rep.max_discrepancy
     assert decode_fixed_point(sol) == fp
     assert eval_trunc(circ, fp) == fp
-    for idx in range(comp.layout.count):
-        st = encoding_status(sol, comp.layout.left(idx))
+    for idx in range(inst.n):
+        st = encoding_status(sol, 10 * idx)
         assert st.well_cut and st.valid
+
+
+def test_every_agent_is_anchors_x_of_o_and_inputs_placed_before():
+    # the shape compile_fixp builds and the order forward_place_kdiv
+    # relies on: In1/In2 are placed first, then each agent's output
+    # interval in turn, and only constants read Out1 before its writer
+    comp = compile_fixp(MIXED)
+    agents, outs = comp.instance.agents, comp.outs
+    assert sorted(outs) == list(range(len(agents)))
+    placed = {IN1, IN2}
+    for v, idx in zip(agents, outs):
+        assert v.mass == 1
+        o = 10 * idx
+        own = [b for b in v.blocks if o <= b.left < o + 9]
+        anchors = [(b.left, b.right) for b in own if b.height == ANCH_H]
+        assert anchors == [(o + a, o + b) for a, b in ANCHORS]
+        xo = [b for b in own if b.height != ANCH_H]
+        assert [(b.left, b.right) for b in xo] == x_set(o)
+        assert len({b.height for b in xo}) == 1
+        for b in v.blocks:
+            if b in own:
+                continue
+            il = 10 * (b.left // 10)
+            assert b.right <= il + 9
+            if il // 10 not in placed:
+                assert il == 10 * OUT1
+                assert all(b.right <= il + lo or b.left >= il + hi
+                           for lo, hi in (WELL_CUT_1, WELL_CUT_2))
+        placed.add(idx)
 
 
 def test_non_fixed_point_leaves_an_agent_unbalanced():
@@ -104,10 +129,10 @@ def test_encoding_status_flags_bad_cut_patterns():
     comp = compile_fixp(IDENT)
     fp = (F(0), F(0))
     sol = forward_place_kdiv(comp, fp)
-    st = encoding_status(sol, comp.layout.left(0))
+    st = encoding_status(sol, 0)
     assert st.valid and st.value == 0
     # shifting the window misaligns every cut
-    st = encoding_status(sol, comp.layout.left(0) + F(9, 2))
+    st = encoding_status(sol, F(9, 2))
     assert not st.valid
 
 
