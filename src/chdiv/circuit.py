@@ -13,7 +13,14 @@ starts a comment:
     OUT w
 
 Rationals are read by core.rat, exponent cap included.
+
+New circuits are built gate by gate with a GateBuilder.  A rewrite
+is a run of its source circuit: source.run(wires, ops) with ops that
+emit gates through the builder, so run maps every source wire to its
+new one and no rewrite renames wires itself.
 """
+
+import functools
 
 from .core import rat, rat_str
 
@@ -101,3 +108,22 @@ class Circuit:
             val[out] = ops[op](*args[:n_rat],
                                *[val[w] for w in args[n_rat:]])
         return [val[w] for w in self.outputs]
+
+
+class GateBuilder:
+    """Collects gates for a new circuit.  new_wire() returns a fresh
+    wire; gate(op, *args) appends (op, args, w) for a fresh wire w and
+    returns w."""
+
+    def __init__(self, new_wire):
+        self.new_wire = new_wire
+        self.gates = []
+
+    def gate(self, op, *args):
+        w = self.new_wire()
+        self.gates.append((op, args, w))
+        return w
+
+    def copying(self, ops):
+        """ops for a run that copies each of ops' gates unchanged."""
+        return {op: functools.partial(self.gate, op) for op in ops}

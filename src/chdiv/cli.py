@@ -19,12 +19,11 @@ from .core import (rat, rat_str, instance_to_obj, instance_from_obj,
                    disjoint_copies)
 
 # `gen` size caps (lo, hi) per option, far above any desk-scale use.
-# They bound what the random kinds and copies write; tucker-demo's
-# compile grows much faster than its --n and is bounded by TUCKER_N.
+# They bound what the random kinds and copies write.
 GEN_CAPS = {"n": (0, 10_000), "d": (1, 64), "grid": (1, 10 ** 6),
             "c": (0, 1_000)}
-# the Tucker dimension N of compile-tucker, decode-tucker and gen --kind
-# tucker-demo: N = 4 already compiles to 37,380 agents
+# the Tucker dimension N of compile-tucker and decode-tucker (the demo
+# labeling compiles to 465 agents at N = 1 and 37,380 at N = 4)
 TUCKER_N = (1, 4)
 
 
@@ -282,9 +281,6 @@ def cmd_gen(args):
             raise ValueError("--kind copies requires --in")
         base = instance_from_obj(_load_json(args.infile))
         inst = disjoint_copies(base, args.c)
-    else:
-        lab = tucker.demo_labeling(_tucker_n(args.n))
-        inst = tucker.compile_tucker(lab, args.eps).instance
     _write_json(instance_to_obj(inst), args.out)
     _emit({"agents": inst.n, "k": inst.k,
            "domain_right": rat_str(inst.domain_right)}, args)
@@ -374,10 +370,10 @@ def build_parser():
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("gen", help="instance generators")
-    common(sp, "eps", "out")
+    common(sp, "out")
     sp.add_argument("--kind", required=True,
                     choices=["random-single-block", "random-dblock",
-                             "copies", "tucker-demo"])
+                             "copies"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=_gen_cap("n"), default=2)
     sp.add_argument("--d", type=_gen_cap("d"), default=2)

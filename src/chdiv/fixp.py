@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .circuit import Circuit
+from .circuit import Circuit, GateBuilder
 from .core import (Instance, Valuation, Block, Solution, label_masses,
                    truncate, rat, KLABELS)
 
@@ -79,98 +79,50 @@ def eval_linfixp(circuit, x):
                               "MUL": operator.mul, "CONST": lambda z: z}))
 
 
-class _WireGen:
-    def __init__(self, taken):
-        self.taken = set(taken)
-        self.count = 0
-
-    def fresh(self):
-        while True:
-            w = "_t%d" % self.count
-            self.count += 1
-            if w not in self.taken:
-                self.taken.add(w)
-                return w
-
-
 def to_truncated(circuit):
     """Rewrite an add/mul/max circuit on [0,1]^2 into an equivalent
     truncated add/mul circuit on [-1,1]^2: clamp every output into
     [0,1], scale all values by 1/M so nothing ever leaves [-1,1]
-    (undone at the outputs), then expand max gates through the
+    (undone at the outputs), and expand max gates through the
     truncated-max identities.  Fixed points of the result are exactly
-    the fixed points of the input on [0,1]^2."""
-    gen = _WireGen(circuit.inputs + [out for _, _, out in circuit.gates])
-    gates = list(circuit.gates)
-    # clamp outputs into [0, 1]: max{-max{-1, -x}, 0}
-    outs = []
-    for w in circuit.outputs:
-        nw = gen.fresh()
-        gates.append(("MUL", (Fraction(-1), w), nw))
-        m1 = gen.fresh()
-        cm1 = gen.fresh()
-        gates.append(("CONST", (Fraction(-1),), cm1))
-        gates.append(("MAX", (cm1, nw), m1))
-        neg = gen.fresh()
-        gates.append(("MUL", (Fraction(-1), m1), neg))
-        zero = gen.fresh()
-        gates.append(("CONST", (Fraction(0),), zero))
-        clamped = gen.fresh()
-        gates.append(("MAX", (neg, zero), clamped))
-        outs.append(clamped)
-    # scale: |values| <= c^(n+1) =: M, so divide constants and inputs
-    # by M and multiply the outputs back
-    c = max([Fraction(2)] + [abs(args[0]) for op, args, _ in gates
+    the fixed points of the input on [0,1]^2.  The result is a run of
+    the source: the input scalings, the source's gates (CONST z as
+    z/M, MAX expanded), the clamps, and the multiplications by M."""
+    # |values| <= c^(n+1) =: M over the n gates of the source and of
+    # the six-gate clamps, so divide constants and inputs by M and
+    # multiply the outputs back
+    c = max([Fraction(2)] + [abs(args[0]) for op, args, _ in circuit.gates
                              if op in ("MUL", "CONST")])
-    M = c ** (len(gates) + 1)
-    scaled = []
-    in_map = {}
-    for w in circuit.inputs:
-        nw = gen.fresh()
-        in_map[w] = nw
-        scaled.append(("MUL", (1 / M, w), nw))
-    for op, args, out in gates:
-        if op == "CONST":
-            args = (args[0] / M,)
-        elif op == "MUL":
-            args = (args[0], in_map.get(args[1], args[1]))
-        else:
-            args = tuple(in_map.get(w, w) for w in args)
-        scaled.append((op, args, out))
-    final_outs = []
+    M = c ** (len(circuit.gates) + 6 * len(circuit.outputs) + 1)
+    names = ("_t%d" % i for i in itertools.count())
+    b = GateBuilder(lambda: next(w for w in names
+                                 if w not in circuit.inputs))
+
+    def const(z):
+        return b.gate("CONST", z / M)
+
+    def max_(x, y):
+        # over [-1,1] arguments:
+        #   max{x, y} = (x/2 + max{y/2 - x/2, 0}) * 2
+        #   max{z, 0} = (z +_T (-1)) +_T 1
+        hx = b.gate("MUL", Fraction(1, 2), x)
+        d = b.gate("ADD", b.gate("MUL", Fraction(1, 2), y),
+                   b.gate("MUL", Fraction(-1, 2), x))
+        z = b.gate("ADD", b.gate("ADD", d, b.gate("CONST", Fraction(-1))),
+                   b.gate("CONST", Fraction(1)))
+        return b.gate("MUL", Fraction(2), b.gate("ADD", hx, z))
+
+    ins = [b.gate("MUL", 1 / M, w) for w in circuit.inputs]
+    outs = circuit.run(ins, dict(b.copying(("ADD", "MUL")),
+                                 CONST=const, MAX=max_))
+    clamped = []
     for w in outs:
-        nw = gen.fresh()
-        scaled.append(("MUL", (M, in_map.get(w, w)), nw))
-        final_outs.append(nw)
-    # expand max over [-1,1] arguments:
-    #   max{x, y} = (x/2 + max{y/2 - x/2, 0}) * 2
-    #   max{z, 0} = (z +_T (-1)) +_T 1
-    flat = []
-    for op, args, out in scaled:
-        if op != "MAX":
-            flat.append((op, args, out))
-            continue
-        a, b = args
-        ha = gen.fresh()
-        flat.append(("MUL", (Fraction(1, 2), a), ha))
-        hb = gen.fresh()
-        flat.append(("MUL", (Fraction(1, 2), b), hb))
-        nha = gen.fresh()
-        flat.append(("MUL", (Fraction(-1, 2), a), nha))
-        d = gen.fresh()
-        flat.append(("ADD", (hb, nha), d))
-        cm = gen.fresh()
-        flat.append(("CONST", (Fraction(-1),), cm))
-        z1 = gen.fresh()
-        flat.append(("ADD", (d, cm), z1))
-        cp = gen.fresh()
-        flat.append(("CONST", (Fraction(1),), cp))
-        z2 = gen.fresh()
-        flat.append(("ADD", (z1, cp), z2))
-        s = gen.fresh()
-        flat.append(("ADD", (ha, z2), s))
-        flat.append(("MUL", (Fraction(2), s), out))
-    return TruncCircuit(circuit.inputs, flat, final_outs)
+        # clamp into [0, 1]: max{-max{-1, -w}, 0}
+        nw = b.gate("MUL", Fraction(-1), w)
+        neg = b.gate("MUL", Fraction(-1), max_(const(Fraction(-1)), nw))
+        clamped.append(max_(neg, const(Fraction(0))))
+    outs = [b.gate("MUL", M, w) for w in clamped]
+    return TruncCircuit(circuit.inputs, b.gates, outs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from bisect import bisect_right
 
-from .circuit import Circuit
+from .circuit import Circuit, GateBuilder
 from .core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                    alternating_labels, balance, encoded_value, rat, truncate)
 
@@ -42,44 +41,6 @@ class BoolCircuit(Circuit):
         """bits: sequence of +1/-1 for the inputs.  Returns the output
         bit list.  (-1 plays the role of 0.)"""
         return self.run(bits, {"NOT": operator.neg, "AND": min, "OR": max})
-
-
-class CircuitBuilder:
-    """Helper for assembling BoolCircuits gate by gate."""
-
-    def __init__(self):
-        self.gates = []
-        self._next = 0
-
-    def wire(self):
-        self._next += 1
-        return self._next - 1
-
-    def reserve(self, n):
-        ws = list(range(self._next, self._next + n))
-        self._next += n
-        return ws
-
-    def NOT(self, a):
-        w = self.wire()
-        self.gates.append(("NOT", (a,), w))
-        return w
-
-    def AND(self, a, b):
-        w = self.wire()
-        self.gates.append(("AND", (a, b), w))
-        return w
-
-    def OR(self, a, b):
-        w = self.wire()
-        self.gates.append(("OR", (a, b), w))
-        return w
-
-    def XOR(self, a, b):
-        return self.AND(self.OR(a, b), self.NOT(self.AND(a, b)))
-
-    def XNOR(self, a, b):
-        return self.NOT(self.XOR(a, b))
 
 
 def point_bits(r):
@@ -156,31 +117,29 @@ def snake_embed(lab7):
     """Duplicate the central grid hyperplanes: turns a labeling on [7]^N
     into one on [8]^N via r -> r-1 if r >= 5 else r, preserving
     antipodal anti-symmetry and mapping solutions back by the same
-    operator."""
+    operator.  The new circuit maps the input bits of each coordinate,
+    then copies lab7's circuit onto the mapped bits."""
     if lab7.side != 7:
         raise ValueError("expected a labeling on [7]^N")
     N = lab7.N
-    b = CircuitBuilder()
-    ins = b.reserve(3 * N)
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(3 * N)]
+
+    def xor(a, c):
+        return b.gate("AND", b.gate("OR", a, c),
+                      b.gate("NOT", b.gate("AND", a, c)))
+
     mapped = []
     for i in range(N):
         c2, c1, c0 = ins[3 * i], ins[3 * i + 1], ins[3 * i + 2]
         # chat = c - 1 if c >= 4 else c, on 3-bit cell indices
-        d2 = b.AND(c2, b.OR(c1, c0))
-        d1 = b.OR(b.AND(b.NOT(c2), c1), b.AND(c2, b.XNOR(c1, c0)))
-        d0 = b.XOR(c2, c0)
+        d2 = b.gate("AND", c2, b.gate("OR", c1, c0))
+        d1 = b.gate("OR", b.gate("AND", b.gate("NOT", c2), c1),
+                    b.gate("AND", c2, b.gate("NOT", xor(c1, c0))))
+        d0 = xor(c2, c0)
         mapped.extend([d2, d1, d0])
-    # splice in the inner circuit with shifted wire ids
-    shift = b._next
-    inner = lab7.circuit
-    remap = {w: mapped[k] for k, w in enumerate(inner.inputs)}
-    gates = list(b.gates)
-    for op, args, out in inner.gates:
-        new_out = out + shift
-        gates.append((op, tuple(remap.get(a, a + shift) for a in args), new_out))
-    outputs = [remap.get(w, w + shift) for w in inner.outputs]
-    circ = BoolCircuit(ins, gates, outputs)
-    return TuckerLabeling(N, circ, side=8)
+    outs = lab7.circuit.run(mapped, b.copying(BoolCircuit.OPS))
+    return TuckerLabeling(N, BoolCircuit(ins, b.gates, outs), side=8)
 
 
 def snake_preimage(point8):
@@ -190,10 +149,10 @@ def snake_preimage(point8):
 
 def demo_labeling(N):
     """lambda(x) = +1 if x_1 <= 4 else -1; antipodally anti-symmetric."""
-    b = CircuitBuilder()
-    ins = b.reserve(3 * N)
-    t = b.NOT(ins[0])          # +1 iff x_1 in the lower half
-    nt = b.NOT(t)
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(3 * N)]
+    t = b.gate("NOT", ins[0])  # +1 iff x_1 in the lower half
+    nt = b.gate("NOT", t)
     outs = [t, t]              # y_1^a, y_1^b
     for _ in range(N - 1):
         outs += [t, nt]        # y_l^a = sign, y_l^b = opposite
@@ -244,12 +203,14 @@ def cell_of(z):
 
 
 class Assembler:
-    """Emits gate agents into unit slots along the domain.  Wires are
-    unit intervals identified by their (integer) left endpoint.  A gate
-    agent is its record [input block, output block] of (left, right,
-    height) triples, two uniform blocks of one height: the output block
-    is the interval that holds the agent's one forced cut, and
-    forward_place sets that cut from the input block alone."""
+    """Emits gate agents into unit slots along the domain, left to
+    right: each output block lies right of the previous agent's and of
+    its own input block.  Wires are unit intervals identified by their
+    (integer) left endpoint.  A gate agent is its record [input block,
+    output block] of (left, right, height) triples, two uniform blocks
+    of one height: the output block is the interval that holds the
+    agent's one forced cut, and forward_place sets that cut from the
+    input block alone."""
 
     def __init__(self, eps, origin=0):
         self.eps = rat(eps)
@@ -532,7 +493,6 @@ def forward_place(compiled, x, const_sign=1):
     x = [rat(v) for v in x]
     if any(abs(v) > 1 for v in x):
         raise ValueError("coordinates must lie in [-1, 1]")
-    rights = sorted(out[1] for _, out in compiled.gates)
     # the N coordinate cuts sit left of everything else; start with the
     # label parity that makes the constant cells read +1
     start = 1 if N % 2 == 0 else -1
@@ -540,14 +500,18 @@ def forward_place(compiled, x, const_sign=1):
     # interval's cut or None); the signed length of [lo, hi] inside that
     # interval is label * ((c - lo) - (hi - c)), c the cut clamped to it
     wires = {}
-    cuts = []     # (slot_key, position)
+    cuts = []
     for i in range(N):
         lab0 = start * (1 if i % 2 == 0 else -1)
         t = i + (1 + x[i] * lab0) / 2
         wires[i] = (lab0, t)
-        cuts.append((i, t))
+        cuts.append(t)
     for j in range(compiled.layout.p):
         wires[N + j] = (1, None)
+    # the gates come in domain order, each output block right of the
+    # last, with one cut each: L flips once per gate, starting from the
+    # label start (-1)^N = +1 of the constant cells
+    L = 1
     for (a, b, _), (l, r, _) in compiled.gates:
         s = 0
         for u in range(int(a), math.ceil(b)):
@@ -555,16 +519,14 @@ def forward_place(compiled, x, const_sign=1):
             lo, hi = max(a, u), min(b, u + 1)
             c = hi if cut is None else min(max(cut, lo), hi)
             s = lab0 * ((c - lo) - (hi - c)) + s
-        L = start if (N + bisect_right(rights, l)) % 2 == 0 else -start
         t = (l + r - L * s) / 2
         assert l < t < r
-        cuts.append((l, t))
+        cuts.append(t)
         for u in range(l, r):
             wires[u] = (L, t)
-    cuts.sort(key=lambda kv: kv[0])
-    positions = [t for _, t in cuts]
-    return Solution(positions, alternating_labels(
-        len(positions) + 1, PLUS if start == 1 else MINUS))
+        L = -L
+    return Solution(cuts, alternating_labels(
+        len(cuts) + 1, PLUS if start == 1 else MINUS))
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +645,10 @@ def decode_solution(compiled, sol):
     lay = compiled.layout
     N, p, alpha = lay.N, lay.p, compiled.params.alpha
     x = [encoded_value(sol, i) for i in range(N)]
-    # one exact merged pass over the sorted cuts and the sorted output
-    # blocks (disjoint: each gate's is freshly allocated) counts the
-    # cuts strictly inside each block and collects the other cuts
-    intervals = sorted(out[:2] for _, out in compiled.gates)
+    # one exact merged pass over the sorted cuts and the output blocks
+    # (disjoint and in domain order: each gate's is freshly allocated)
+    # counts the cuts strictly inside each block and collects the others
+    intervals = [out[:2] for _, out in compiled.gates]
     inside = [0] * len(intervals)
     free = []
     k = 0

@@ -14,6 +14,10 @@ from chdiv import greedy, tucker
 
 HALF = Fraction(1, 2)
 
+# a linear-FIXP circuit (add, mul, max) with the fixed point (1/2, 3/4)
+LIN_TEXT = ("IN x1\nIN x2\nMUL 1/2 x1 -> a\nCONST 1/4 -> c\nADD a c -> s\n"
+            "MAX s x2 -> m\nOUT s\nOUT m\n")
+
 
 def alternating_solution(cuts):
     return Solution(cuts, alternating_labels(len(cuts) + 1))

@@ -9,12 +9,10 @@ import pytest
 from chdiv.fixp import (TruncCircuit, LinFixpCircuit, compile_fixp,
                         eval_linfixp, to_truncated)
 from chdiv.tucker import BoolCircuit, TuckerLabeling, demo_labeling, snake_embed
+from conftest import LIN_TEXT
 
 
 F = Fraction
-
-LIN_TEXT = ("IN x1\nIN x2\nMUL 1/2 x1 -> a\nCONST 1/4 -> c\nADD a c -> s\n"
-            "MAX s x2 -> m\nOUT s\nOUT m\n")
 
 ROUND_TRIP = {
     "tucker-demo-1": lambda: demo_labeling(1).circuit,

@@ -281,7 +281,6 @@ def test_tucker_dimension_bound():
     ("compile-tucker", "--n", "0"),
     ("compile-tucker", "--n", "-1"),
     ("decode-tucker", "--n", "0", "--solution", "missing.json"),
-    ("gen", "--kind", "tucker-demo", "--n", "0"),
 ])
 def test_tucker_dimension_out_of_bound_is_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -397,6 +396,17 @@ def test_gen_over_a_cap_is_exit_1(tmp_path, capsys):
                 "--" + name, str(GEN_CAPS[name][1] + 1))
         assert e.value.code == 1
         assert "gen --" + name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "tucker-demo", "--n", "1"),
+    ("gen", "--kind", "random-single-block", "--eps", "1/2"),
+])
+def test_gen_has_no_tucker_kind_and_no_eps(capsys, argv):
+    # the demo instance comes from compile-tucker --n N [--eps E] --out F
+    with pytest.raises(SystemExit) as e:
+        run(capsys, *argv)
+    assert e.value.code == 1
 
 
 def test_seed_is_a_gen_option_only(tmp_path, capsys):

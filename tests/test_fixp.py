@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chdiv.core import verify
 from chdiv.fixp import (TruncCircuit, LinFixpCircuit, eval_trunc,
@@ -10,7 +10,7 @@ from chdiv.fixp import (TruncCircuit, LinFixpCircuit, eval_trunc,
                         encoding_status, KDivDecodeFailure, ANCHORS,
                         ANCH_H, WELL_CUT_1, WELL_CUT_2, OUT1, IN1, IN2,
                         x_set)
-from conftest import MUTATIONS, mutate
+from conftest import LIN_TEXT, MUTATIONS, mutate
 
 
 F = Fraction
@@ -166,9 +166,7 @@ def test_property_decode_of_a_mutated_witness(circ_fp, ops):
 
 
 def test_to_truncated_agrees_on_the_unit_square():
-    lin = LinFixpCircuit.parse(
-        "IN x1\nIN x2\nMUL 1/2 x1 -> a\nCONST 1/4 -> c\nADD a c -> s\n"
-        "MAX s x2 -> m\nOUT s\nOUT m\n")
+    lin = LinFixpCircuit.parse(LIN_TEXT)
     tr = to_truncated(lin)
     for x in [(F(0), F(0)), (F(1), F(1)), (F(1, 3), F(2, 3)),
               (F(1, 2), F(1, 2))]:
@@ -188,3 +186,59 @@ def test_to_truncated_handles_large_multipliers():
     # on points where the original stays inside [0,1] the two agree
     for x in [(F(0), F(1)), (F(1, 4), F(1, 2)), (F(1, 3), F(0))]:
         assert eval_trunc(tr, x) == eval_linfixp(lin, x)
+
+
+@st.composite
+def linear_circuits(draw):
+    """Random ADD/MUL/CONST/MAX circuits on the plane."""
+    factor = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(2),
+                              F(-3), F(5, 4)])
+    wires, gates = ["x1", "x2"], []
+    for g in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(["ADD", "MUL", "CONST", "MAX"]))
+        wire = st.sampled_from(wires)
+        if op == "CONST":
+            args = (draw(factor),)
+        elif op == "MUL":
+            args = (draw(factor), draw(wire))
+        else:
+            args = (draw(wire), draw(wire))
+        gates.append((op, args, "g%d" % g))
+        wires.append("g%d" % g)
+    outs = [draw(st.sampled_from(wires)) for _ in range(2)]
+    return LinFixpCircuit(["x1", "x2"], gates, outs)
+
+
+LATTICE = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+
+
+# x1 doubled five times and halved back: 32 x1 leaves [-M, M] for any
+# scale M < 32, which the random circuits seldom reach
+DOUBLINGS = LinFixpCircuit.parse(
+    "IN x1\nIN x2\nADD x1 x1 -> a\nADD a a -> b\nADD b b -> c\n"
+    "ADD c c -> d\nADD d d -> e\nMUL 1/32 e -> f\nOUT f\nOUT x2\n")
+
+
+@settings(max_examples=72, deadline=None)
+@given(linear_circuits())
+@example(DOUBLINGS)
+def test_property_to_truncated_is_the_clamped_circuit(lin):
+    # on [0,1]^2 the rewrite computes the source clamped into [0, 1]
+    tr = to_truncated(lin)
+    for x in LATTICE:
+        assert eval_trunc(tr, x) == tuple(
+            min(max(v, 0), 1) for v in eval_linfixp(lin, x))
+
+
+def test_linear_fixp_chain_end_to_end():
+    # add/mul/max circuit -> truncated circuit -> 1/3-division instance
+    # -> forward witness at the fixed point -> decode
+    tr = to_truncated(LinFixpCircuit.parse(LIN_TEXT))
+    assert len(tr.gates) == 65
+    comp = compile_fixp(tr)
+    assert comp.instance.n == 114
+    fp = (F(1, 2), F(3, 4))
+    sol = forward_place_kdiv(comp, fp)
+    assert verify(comp.instance, sol, 0).satisfied
+    assert len(sol.cuts) == comp.instance.cut_budget == 228
+    assert decode_fixed_point(sol) == fp

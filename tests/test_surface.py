@@ -68,14 +68,24 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every Name, Attribute and string constant."""
+    """(name, line) of every Name, Attribute and string constant.  An
+    attribute of a str constant ("...".format) is a str method and
+    never a reference to a library method."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if not (isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                yield node.attr, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value, node.lineno
+
+
+def test_a_str_method_is_no_reference():
+    names = [n for n, _ in _references(ast.parse('"x{}".format(1)'))]
+    assert "format" not in names and "x{}" in names
+    assert "format" in [n for n, _ in _references(ast.parse("c.format()"))]
 
 
 def test_every_library_name_has_a_caller():

@@ -4,11 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from chdiv.circuit import GateBuilder
 from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value, truncate, balance)
-from chdiv.tucker import (BoolCircuit, CircuitBuilder, TuckerLabeling,
+from chdiv.tucker import (BoolCircuit, TuckerLabeling,
                           decode_label, point_bits, bits_to_coord,
                           demo_labeling, snake_embed, snake_preimage,
                           ReductionParams, dist_to_B, cell_of, Assembler,
@@ -54,10 +55,10 @@ def test_decode_label_signed_axis_encoding():
 
 def test_snake_embedding_matches_preimage():
     # a side-7 labeling that only reads the top bit of the first axis
-    b = CircuitBuilder()
-    ins = b.reserve(6)
-    t = b.NOT(ins[0])
-    nt = b.NOT(t)
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(6)]
+    t = b.gate("NOT", ins[0])
+    nt = b.gate("NOT", t)
     lab7 = TuckerLabeling(2, BoolCircuit(ins, b.gates, [t, t, t, nt]),
                           side=7)
     for x in itertools.product(range(1, 8), repeat=2):
@@ -66,6 +67,38 @@ def test_snake_embedding_matches_preimage():
     assert lab8.side == 8
     for x in itertools.product(range(1, 9), repeat=2):
         assert lab8.evaluate(x) == lab7.evaluate(snake_preimage(x))
+
+
+@st.composite
+def side7_labelings(draw):
+    """A random NOT/AND/OR circuit on 3N bits with 2N output bits, at
+    N = 1 or 2, as a labeling of [7]^N (its outputs need not encode a
+    label)."""
+    N = draw(st.integers(1, 2))
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(3 * N)]
+    wires = list(ins)
+    for _ in range(draw(st.integers(0, 10))):
+        op = draw(st.sampled_from(["NOT", "AND", "OR"]))
+        arity = 1 if op == "NOT" else 2
+        wires.append(b.gate(op, *[draw(st.sampled_from(wires))
+                                  for _ in range(arity)]))
+    outs = [draw(st.sampled_from(wires)) for _ in range(2 * N)]
+    return TuckerLabeling(N, BoolCircuit(ins, b.gates, outs), side=7)
+
+
+def _raw_bits(lab, x):
+    return lab.circuit.evaluate([v for r in x for v in point_bits(r)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(side7_labelings())
+def test_property_snake_embed_reads_the_preimage(lab7):
+    # the embedded circuit's raw output bits at x are the inner
+    # circuit's at the preimage cell, at every point of [8]^N
+    lab8 = snake_embed(lab7)
+    for x in itertools.product(range(1, 9), repeat=lab7.N):
+        assert _raw_bits(lab8, x) == _raw_bits(lab7, snake_preimage(x))
 
 
 def test_cell_classification():
@@ -93,9 +126,9 @@ def test_reduction_parameters():
 
 
 def test_compile_rejects_a_labeling_that_is_not_antisymmetric():
-    b = CircuitBuilder()
-    ins = b.reserve(3)
-    one = b.OR(ins[0], b.NOT(ins[0]))       # the constant label +1
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(3)]
+    one = b.gate("OR", ins[0], b.gate("NOT", ins[0]))   # the label +1
     lab = TuckerLabeling(1, BoolCircuit(ins, b.gates, [one, one]))
     assert lab.check_antisymmetric() == (1,)
     with pytest.raises(ValueError, match=r"anti-symmetric.*\(1,\)"):
@@ -229,13 +262,17 @@ def compiled_2d():
     ("compiled_2d", (F(-1, 32), F(0))), ("compiled_2d", (F(3, 8), F(-5, 16)))])
 def test_gate_agents_are_their_two_block_records(request, fixture, x):
     # every gate agent is its record [input block, output block]: two
-    # blocks of one height, the input left of the output; forward_place
-    # puts exactly one cut strictly inside each output block and the N
+    # blocks of one height, the input left of the output, and the output
+    # blocks in strictly increasing domain order; forward_place puts
+    # exactly one cut strictly inside each output block and the N
     # coordinate cuts besides
     comp = request.getfixturevalue(fixture)
+    prev_right = comp.layout.N + comp.layout.p
     for gate, agent in zip(comp.gates, comp.instance.agents):
         (a, b, h), (l, r, h_out) = gate
         assert h == h_out and a < b <= l < r
+        assert prev_right <= l
+        prev_right = r
         assert agent == Valuation([Block(*k) for k in gate])
     for const_sign in (1, -1):
         cuts = forward_place(comp, x, const_sign).cuts
