@@ -25,6 +25,12 @@ GEN_CAPS = {"n": (0, 10_000), "d": (1, 64), "grid": (1, 10 ** 6),
 # the Tucker dimension N of compile-tucker and decode-tucker (the demo
 # labeling compiles to 465 agents at N = 1 and 37,380 at N = 4)
 TUCKER_N = (1, 4)
+# a cap on gates x p = 4N^2, the labeling circuit's gate groups: each
+# gate is compiled once per simulator, in at most 14 agents.  It admits
+# every N = 2 truth table as a shared-minterm DNF (6 NOT + 320 AND +
+# 252 OR gates, 578 x 16 = 9,248) and bounds the circuit's part of the
+# instance at about 140,000 agents
+TUCKER_GATE_GROUPS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,11 +194,22 @@ def cmd_refine(args):
     return 0 if z == 0 else 2
 
 
+def _check_gate_groups(gates, n):
+    """A ValueError (exit 1) if gates x p, p = 4 n^2, exceeds
+    TUCKER_GATE_GROUPS."""
+    p = 4 * n * n
+    if gates * p > TUCKER_GATE_GROUPS:
+        raise ValueError("labeling circuit too large: %d gates x p = %d "
+                         "is %d gate groups, over the cap of %d"
+                         % (gates, p, gates * p, TUCKER_GATE_GROUPS))
+
+
 def _load_labeling(args):
     n = _tucker_n(args.n)
     if args.circuit is not None:
         with open(args.circuit) as fp:
             circ = tucker.BoolCircuit.parse(fp.read())
+        _check_gate_groups(len(circ.gates), n)
         return tucker.TuckerLabeling(n, circ)
     return tucker.demo_labeling(n)
 
@@ -201,11 +218,9 @@ def cmd_compile_tucker(args):
     lab = _load_labeling(args)
     compiled = tucker.compile_tucker(lab, args.eps)
     _write_json(instance_to_obj(compiled.instance), args.out)
-    layout_obj = compiled.layout.to_json_obj()
-    layout_obj["eps"] = rat_str(compiled.params.eps)
-    _write_json(layout_obj, args.layout)
     _emit({"agents": compiled.instance.n,
            "domain_right": rat_str(compiled.instance.domain_right),
+           "eps": rat_str(compiled.params.eps),
            "simulators": compiled.layout.p,
            "region_length": compiled.layout.q,
            "mul_chain_length": compiled.params.kmul}, args)
@@ -338,7 +353,6 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--circuit", help="labeling circuit file "
                     "(defaults to the built-in demo labeling)")
-    sp.add_argument("--layout", help="layout metadata output (JSON)")
     sp.set_defaults(func=cmd_compile_tucker)
 
     sp = sub.add_parser("decode-tucker",

@@ -93,10 +93,6 @@ class Block:
         if self.height.numerator < 0:
             raise ValueError("negative height")
 
-    @property
-    def mass(self):
-        return self.height * (self.right - self.left)
-
     def __eq__(self, other):
         return (isinstance(other, Block)
                 and (self.left, self.right, self.height)

@@ -314,13 +314,24 @@ class Assembler:
         return self.mul_int(self.neg(b), 2)
 
     def and_(self, b1, b2, const_in):
-        s = self.add(b1, b2)
-        mh = self.const(Fraction(-1, 2), const_in)
-        s2 = self.add(s, mh)
-        return self.mul_int(s2, 4)
+        return self._threshold(b1, b2, Fraction(-1, 2), const_in)
 
     def or_(self, b1, b2, const_in):
-        return self.not_(self.and_(self.not_(b1), self.not_(b2), const_in))
+        return self._threshold(b1, b2, Fraction(1, 2), const_in)
+
+    def _threshold(self, b1, b2, zeta, const_in):
+        """mul_int(truncate(b1 + b2) + zeta, 4): AND for zeta = -1/2, in
+        13 agents, and OR for zeta = 1/2, in 14 (const(1/2) negates
+        const(-1/2)).  On bits truncate(b1 + b2) is -1, 0 or 1, so the
+        second sum is -1, -1/2 or 1/2 for AND and -1/2, 1/2 or 1 for OR,
+        and multiplying by 4 saturates each to the right +-1.  Inputs
+        within 16 eps of +-1 move both sums by O(eps), so mul_int reads
+        |v| >= 1/2 - O(eps) > 1/4 and its output is within 16 eps of +-1.
+        Every gate is odd in its inputs and the constant cell together,
+        so a simulator whose constant cell reads -1 computes the negation."""
+        s = self.add(b1, b2)
+        s2 = self.add(s, self.const(zeta, const_in))
+        return self.mul_int(s2, 4)
 
     def emit_circuit(self, circuit, input_wires, const_in):
         """Boolean circuit over the +-1 convention, one gate group per
@@ -344,16 +355,14 @@ class Layout:
         self.domain_right = domain_right
 
     def simulator_of(self, pos):
-        """Simulator index 1..p whose region contains pos, else None."""
+        """Simulator index 1..p whose region or feedback cell F_i(j)
+        contains pos, else None."""
         base = self.N + self.p
-        if pos < base or pos >= base + self.p * self.q:
+        if pos < base or pos >= self.domain_right:
             return None
-        return int((pos - base) // self.q) + 1
-
-    def to_json_obj(self):
-        return {"N": self.N, "p": self.p, "q": self.q,
-                "feedback_start": self.feedback_start,
-                "domain_right": self.domain_right}
+        if pos < self.feedback_start:
+            return int((pos - base) // self.q) + 1
+        return int((pos - self.feedback_start) % self.p) + 1
 
 
 class CompiledCH:
@@ -659,32 +668,19 @@ def decode_solution(compiled, sol):
             inside[k] += 1
         else:
             free.append(t)
-    corrupted = set()
-    for (left, _), c in zip(intervals, inside):
-        if c >= 2:
-            j = lay.simulator_of(left)
-            if j is None:
-                j = _feedback_simulator(lay, left)
-            if j is not None:
-                corrupted.add(j)
-    const_sign = {}
-    for j in range(1, p + 1):
-        v = encoded_value(sol, N + j - 1)
-        if v == 1:
-            const_sign[j] = 1
-        elif v == -1:
-            const_sign[j] = -1
-        else:
-            corrupted.add(j)
-    # free cuts inside a simulator region corrupt it as well
-    for t in free:
-        j = lay.simulator_of(t) if t > N else None
-        if j is not None:
-            corrupted.add(j)
+    corrupted = {lay.simulator_of(left)
+                 for (left, _), c in zip(intervals, inside) if c >= 2}
+    const_sign = {j: encoded_value(sol, N + j - 1) for j in range(1, p + 1)}
+    corrupted.update(j for j, s in const_sign.items() if abs(s) != 1)
+    # free cuts inside a simulator region corrupt it as well; one on a
+    # feedback cell, or on its boundary, does not
+    corrupted.update(lay.simulator_of(t) for t in free
+                     if t < lay.feedback_start)
+    corrupted.discard(None)
     g8 = 8 * compiled.params.g
     candidates = []    # (cell point, label)
     for j in range(1, p + 1):
-        if j in corrupted or j not in const_sign:
+        if j in corrupted:
             continue
         s = const_sign[j]
         z = [truncate(s * xi + j * alpha) for xi in x]
@@ -703,9 +699,3 @@ def decode_solution(compiled, sol):
     raise DecodeFailure(
         "no complementary cell pair among %d candidates "
         "(feedback mechanism violated?)" % len(candidates))
-
-
-def _feedback_simulator(lay, left):
-    if left < lay.feedback_start or left >= lay.domain_right:
-        return None
-    return int((left - lay.feedback_start) % lay.p) + 1

@@ -1,11 +1,13 @@
 """Shared generators and invariant checkers for the test suite."""
 
 import bisect
+import functools
 import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from chdiv.circuit import GateBuilder
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                         alternating_labels, balance, label_masses, verify)
 from chdiv.gen import random_single_block_instance, random_dblock_instance
@@ -37,6 +39,38 @@ def gate_rig(eps, builder, n_coords, n_consts):
     layout = tucker.Layout(n_coords, n_consts, asm.cursor - origin,
                            asm.cursor, asm.cursor)
     return outs, tucker.CompiledCH(inst, layout, None, None, asm.gates)
+
+
+def random_dnf_labeling(rng, N):
+    """A random labeling of [8]^N by +-1..+-N, antipodally anti-symmetric
+    on the boundary (lambda(9 - x) = -lambda(x) there; interior labels
+    are free), built as a shared-minterm DNF: one NOT per input bit, one
+    AND chain per point over its 3N literals, and one OR chain per
+    output bit over the minterms of the points where that bit is +1."""
+    labels = {}
+    for x in itertools.product(range(1, 9), repeat=N):
+        if x not in labels:
+            labels[x] = rng.choice([1, -1]) * rng.randint(1, N)
+            if 1 in x or 8 in x:
+                labels[tuple(9 - r for r in x)] = -labels[x]
+    b = GateBuilder(itertools.count().__next__)
+    ins = [b.new_wire() for _ in range(3 * N)]
+    nots = [b.gate("NOT", w) for w in ins]
+    terms = [[] for _ in range(2 * N)]
+    for x, lab in sorted(labels.items()):
+        bits = [v for r in x for v in tucker.point_bits(r)]
+        lits = [w if v > 0 else nw for w, nw, v in zip(ins, nots, bits)]
+        term = functools.reduce(lambda a, c: b.gate("AND", a, c), lits)
+        # y_i^a is the label's sign, and y_i^b too on axis |lab| only
+        sign = 1 if lab > 0 else -1
+        ys = [y for i in range(1, N + 1)
+              for y in (sign, sign if i == abs(lab) else -sign)]
+        for k, y in enumerate(ys):
+            if y > 0:
+                terms[k].append(term)
+    outs = [functools.reduce(lambda a, c: b.gate("OR", a, c), t)
+            for t in terms]
+    return tucker.TuckerLabeling(N, tucker.BoolCircuit(ins, b.gates, outs))
 
 
 def check_greedy_invariants(inst):

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from chdiv.cli import main, _jobs, _gen_cap, _tucker_n, GEN_CAPS, TUCKER_N
+from chdiv.cli import (main, _jobs, _gen_cap, _tucker_n, _check_gate_groups,
+                       GEN_CAPS, TUCKER_N, TUCKER_GATE_GROUPS)
 from chdiv.core import (instance_from_obj, instance_to_obj, load_instance,
                         load_solution, solution_from_obj, solution_to_obj,
                         verify)
@@ -288,6 +289,48 @@ def test_tucker_dimension_out_of_bound_is_exit_1(capsys, argv):
     assert "must be in 1..4" in err and "Traceback" not in err
 
 
+def test_tucker_gate_group_bound():
+    assert TUCKER_GATE_GROUPS == 10_000
+    # gates x p with p = 4 N^2, so the cap admits 2,500 gates at N = 1,
+    # 625 at N = 2 and 156 at N = 4
+    for gates, n in ((2_500, 1), (625, 2), (156, 4), (0, 4)):
+        _check_gate_groups(gates, n)
+    for gates, n in ((2_501, 1), (626, 2), (157, 4)):
+        with pytest.raises(ValueError, match="over the cap of 10000"):
+            _check_gate_groups(gates, n)
+
+
+@pytest.mark.parametrize("command", ["compile-tucker", "decode-tucker"])
+def test_tucker_circuit_over_the_gate_cap_is_exit_1(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # the demo labeling at N = 1, its NOT followed by 1,250 double
+    # negations: an antipodally anti-symmetric labeling of 2,501 gates,
+    # refused before anything compiles or reads the solution file
+    lines = ["INPUT 0", "INPUT 1", "INPUT 2"]
+    lines += ["NOT %d -> %d" % (w, w + 1 if w else 3)
+              for w in [0] + list(range(3, 2_503))]
+    circ = tmp_path / "long.txt"
+    circ.write_text("\n".join(lines + ["OUTPUT 2503", "OUTPUT 2503"]))
+    lab = tucker.TuckerLabeling(1, tucker.BoolCircuit.parse(
+        circ.read_text()))
+    assert len(lab.circuit.gates) == 2_501
+    assert lab.check_antisymmetric() is None
+
+    def no_compile(*args):
+        raise AssertionError("compiled an over-cap circuit")
+
+    monkeypatch.setattr(tucker, "compile_tucker", no_compile)
+    argv = [command, "--n", "1", "--circuit", str(circ)]
+    if command == "decode-tucker":
+        argv += ["--solution", str(tmp_path / "missing.json")]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert "2501 gates x p = 4 is 10004 gate groups" in err
+    assert "over the cap of 10000" in err
+
+
 def test_bad_jobs_is_exit_1(tmp_path, capsys, monkeypatch):
     # each bad value is rejected while the arguments are parsed, before
     # any subcommand (and so any pool) starts
@@ -477,14 +520,11 @@ def test_fixp_compile_and_decode(tmp_path, capsys):
 def test_tucker_compile_and_decode(tmp_path, capsys):
     eps = "1/16384"
     instp = tmp_path / "inst.json"
-    layp = tmp_path / "layout.json"
     code, out, _ = run(capsys, "compile-tucker", "--n", "1", "--eps", eps,
-                       "--out", str(instp), "--layout", str(layp), "--json")
+                       "--out", str(instp), "--json")
     assert code == 0
     meta = json.loads(out)
-    assert meta["simulators"] == 4
-    layout = json.loads(layp.read_text())
-    assert layout["N"] == 1 and layout["eps"] == eps
+    assert meta["simulators"] == 4 and meta["eps"] == eps
     compiled = tucker.compile_tucker(tucker.demo_labeling(1), F(eps))
     assert meta["agents"] == compiled.instance.n
     sol = tucker.forward_place(compiled, [F(-1, 32)])
@@ -566,11 +606,9 @@ def test_a_dropped_option_is_exit_1(tmp_path, capsys, command, dropped,
 
 
 def test_tucker_commands_default_to_the_largest_eps(tmp_path, capsys):
-    layp = tmp_path / "layout.json"
-    code, out, err = run(capsys, "compile-tucker", "--n", "1",
-                         "--layout", str(layp), "--json")
+    code, out, err = run(capsys, "compile-tucker", "--n", "1", "--json")
     assert code == 0 and err == ""
-    assert json.loads(layp.read_text())["eps"] == "1/16384"
+    assert json.loads(out)["eps"] == "1/16384"
     compiled = tucker.compile_tucker(tucker.demo_labeling(1))
     assert compiled.params.eps == F(1, 2 ** 14)
     assert json.loads(out)["agents"] == compiled.instance.n

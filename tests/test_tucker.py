@@ -1,6 +1,7 @@
 import bisect
 import collections
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from chdiv.tucker import (BoolCircuit, TuckerLabeling,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
-from conftest import MUTATIONS, gate_rig, mutate
+from conftest import MUTATIONS, gate_rig, mutate, random_dnf_labeling
 
 
 F = Fraction
@@ -195,6 +196,16 @@ def test_boolean_gates_exact_on_perfect_bits():
         assert val(outs["or"]) == max(b1, b2)
 
 
+@pytest.mark.parametrize("gate, agents", [("not_", 4), ("and_", 13),
+                                           ("or_", 14)])
+def test_boolean_gate_costs(gate, agents):
+    # AND and OR are one threshold gadget; OR's constant +1/2 is the
+    # negation of AND's -1/2, one agent more
+    args = (0,) if gate == "not_" else (0, 1, 3)
+    _, comp = gate_rig(EPS, lambda asm: getattr(asm, gate)(*args), 2, 2)
+    assert len(comp.gates) == agents
+
+
 def test_volume_gate_rejects_bad_delta():
     asm = Assembler(EPS, origin=1)
     with pytest.raises(ValueError):
@@ -282,6 +293,19 @@ def test_gate_agents_are_their_two_block_records(request, fixture, x):
             assert inside == 1, (l, r, inside)
 
 
+def test_simulator_of_reads_regions_and_feedback_cells(compiled_1d):
+    lay = compiled_1d.layout
+    N, p, q, fstart = lay.N, lay.p, lay.q, lay.feedback_start
+    assert fstart == N + p + p * q
+    for j in range(1, p + 1):
+        left = N + p + (j - 1) * q
+        assert lay.simulator_of(left) == lay.simulator_of(left + q - 1) == j
+        for i in range(N):
+            assert lay.simulator_of(fstart + i * p + j - 1) == j
+    for pos in (0, N, N + p - 1, lay.domain_right):
+        assert lay.simulator_of(pos) is None
+
+
 def test_forward_place_gate_exact_1d(compiled_1d):
     comp = compiled_1d
     sol = forward_place(comp, [F(-1, 32)])
@@ -317,6 +341,37 @@ def test_property_decode_of_a_mutated_placement(compiled_1d, ops):
     lab = comp.labeling
     assert lab.evaluate(u) == -lab.evaluate(w)
     assert max(abs(a - b) for a, b in zip(u, w)) <= 1
+
+
+def test_decode_corruption_of_feedback_cells(compiled_1d):
+    # two extra cuts inside feedback cell F_1(j) corrupt simulator j,
+    # exactly as two inside its constant cell do; free cuts on
+    # feedback-cell boundaries corrupt none
+    comp = compiled_1d
+    lay = comp.layout
+    _, sol = find_solution(comp, (F(-1, 32),), radius=4)
+
+    def outcome(extra):
+        cuts = sorted(sol.cuts + tuple(extra))
+        first = sol.labels[0]
+        other = MINUS if first == PLUS else PLUS
+        try:
+            return decode_solution(comp, Solution(
+                cuts, [first if i % 2 == 0 else other
+                       for i in range(len(cuts) + 1)]))
+        except DecodeFailure:
+            return None
+
+    fstart = lay.feedback_start
+    boundaries = [fstart + j for j in range(lay.p)]
+    assert outcome(boundaries) == outcome([]) is not None
+    inside = [F(1, 8), F(1, 4)]
+    results = []
+    for j in range(1, lay.p + 1):
+        got = outcome([fstart + j - 1 + d for d in inside])
+        assert got == outcome([lay.N + j - 1 + d for d in inside]), j
+        results.append(got)
+    assert None in results
 
 
 def test_balance_without_a_domain_does_not_clip(compiled_1d):
@@ -380,6 +435,25 @@ def test_find_solution_reports_exhaustion(compiled_1d):
     assert e.best_point == [F(-1)]
     assert e.best_census == [F(8191, 2048)]
     assert "3 points scanned" in str(e)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_dnf_labeling_end_to_end(seed):
+    # compile, solve, verify and decode a random labeling of [8]^1 that
+    # pays for its OR gates; the start is the first complementary
+    # adjacent pair's shared cell boundary minus 1/32
+    lab = random_dnf_labeling(random.Random(seed), 1)
+    assert lab.check_antisymmetric() is None
+    comp = compile_tucker(lab)
+    assert audit_two_block_uniform(comp.instance)
+    u = next(r for r in range(1, 8)
+             if lab.evaluate((r,)) == -lab.evaluate((r + 1,)))
+    _, sol = find_solution(comp, (F(u, 4) - 1 - F(1, 32),), radius=4)
+    assert len(sol.cuts) <= comp.instance.cut_budget
+    assert verify(comp.instance, sol, comp.params.eps).satisfied
+    a, b = decode_solution(comp, sol)
+    assert lab.evaluate(a) == -lab.evaluate(b)
+    assert abs(a[0] - b[0]) <= 1
 
 
 def test_decode_failure_far_from_the_boundary(compiled_1d):
