@@ -492,7 +492,21 @@ def forward_place(compiled, x, const_sign=1):
     Requires |x_i| <= 1.  Each coordinate cell holds exactly one cut; at
     x_i = +-1 that cut sits on an edge of the cell, so the whole cell
     carries one label and reads +-1, and the gate agents are still
-    exactly balanced."""
+    exactly balanced.  const_sign = -1 places -x and swaps the labels,
+    so every constant cell reads -1; any other value is a ValueError.
+
+    The placement runs on ints in units of 1/T, with T twice the lcm of
+    the denominators of every gate-record endpoint and of the x_i, and
+    builds one Fraction per cut at the end.  This is exact:
+    - every record endpoint and every unit boundary is an even int in
+      these units, because T is twice a multiple of its denominator;
+    - so each term lab0 (2c - lo - hi) of the signed length s is even,
+      whatever the cut c, and so is s;
+    - so t = (l + r - L s) / 2 is an int, and with S = T / 2 the
+      coordinate cut i T + S + lab0 x_i S is an int too, since x_i's
+      denominator divides S."""
+    if const_sign not in (1, -1):
+        raise ValueError("const_sign must be +-1")
     if const_sign == -1:
         sol = forward_place(compiled, [-rat(v) for v in x], 1)
         return sol.swap_labels()
@@ -502,6 +516,10 @@ def forward_place(compiled, x, const_sign=1):
     x = [rat(v) for v in x]
     if any(abs(v) > 1 for v in x):
         raise ValueError("coordinates must lie in [-1, 1]")
+    gates = compiled.gates
+    T = 2 * math.lcm(*{e.denominator for (a, b, _), (l, r, _) in gates
+                       for e in (a, b, l, r)}, *[v.denominator for v in x])
+    S = T // 2
     # the N coordinate cuts sit left of everything else; start with the
     # label parity that makes the constant cells read +1
     start = 1 if N % 2 == 0 else -1
@@ -510,9 +528,9 @@ def forward_place(compiled, x, const_sign=1):
     # interval is label * ((c - lo) - (hi - c)), c the cut clamped to it
     wires = {}
     cuts = []
-    for i in range(N):
+    for i, v in enumerate(x):
         lab0 = start * (1 if i % 2 == 0 else -1)
-        t = i + (1 + x[i] * lab0) / 2
+        t = i * T + S + lab0 * v.numerator * (S // v.denominator)
         wires[i] = (lab0, t)
         cuts.append(t)
     for j in range(compiled.layout.p):
@@ -521,20 +539,22 @@ def forward_place(compiled, x, const_sign=1):
     # last, with one cut each: L flips once per gate, starting from the
     # label start (-1)^N = +1 of the constant cells
     L = 1
-    for (a, b, _), (l, r, _) in compiled.gates:
+    for (a, b, _), (l, r, _) in gates:
+        a = a.numerator * (T // a.denominator)
+        b = b.numerator * (T // b.denominator)
         s = 0
-        for u in range(int(a), math.ceil(b)):
+        for u in range(a // T, -(-b // T)):
             lab0, cut = wires[u]
-            lo, hi = max(a, u), min(b, u + 1)
+            lo, hi = max(a, u * T), min(b, u * T + T)
             c = hi if cut is None else min(max(cut, lo), hi)
-            s = lab0 * ((c - lo) - (hi - c)) + s
-        t = (l + r - L * s) / 2
-        assert l < t < r
+            s += lab0 * (2 * c - lo - hi)
+        t = ((l + r) * T - L * s) // 2
+        assert l * T < t < r * T
         cuts.append(t)
         for u in range(l, r):
             wires[u] = (L, t)
         L = -L
-    return Solution(cuts, alternating_labels(
+    return Solution([Fraction(t, T) for t in cuts], alternating_labels(
         len(cuts) + 1, PLUS if start == 1 else MINUS))
 
 

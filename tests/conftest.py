@@ -3,6 +3,7 @@
 import bisect
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -39,6 +40,37 @@ def gate_rig(eps, builder, n_coords, n_consts):
     layout = tucker.Layout(n_coords, n_consts, asm.cursor - origin,
                            asm.cursor, asm.cursor)
     return outs, tucker.CompiledCH(inst, layout, None, None, asm.gates)
+
+
+def forward_place_reference(compiled, x, const_sign=1):
+    """tucker.forward_place's rule in Fraction arithmetic, the reference
+    that the integer placement is compared against: each gate's cut is
+    t = (l + r - L s) / 2, with s the input block's signed length under
+    the cuts placed so far, summed cell by cell."""
+    x = [Fraction(v) * const_sign for v in x]
+    N = compiled.layout.N
+    start = 1 if N % 2 == 0 else -1
+    wires, cuts = {}, []
+    for i, v in enumerate(x):
+        lab0 = start * (1 if i % 2 == 0 else -1)
+        cuts.append(i + (1 + v * lab0) / 2)
+        wires[i] = (lab0, cuts[-1])
+    for j in range(compiled.layout.p):
+        wires[N + j] = (1, None)
+    L = 1
+    for (a, b, _), (l, r, _) in compiled.gates:
+        s = 0
+        for u in range(math.floor(a), math.ceil(b)):
+            lab0, cut = wires[u]
+            lo, hi = max(a, u), min(b, u + 1)
+            c = hi if cut is None else min(max(cut, lo), hi)
+            s += lab0 * ((c - lo) - (hi - c))
+        cuts.append(Fraction(l + r - L * s, 2))
+        for u in range(l, r):
+            wires[u] = (L, cuts[-1])
+        L = -L
+    first = PLUS if start * const_sign == 1 else MINUS
+    return Solution(cuts, alternating_labels(len(cuts) + 1, first))
 
 
 def random_dnf_labeling(rng, N):

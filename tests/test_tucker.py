@@ -1,5 +1,6 @@
 import bisect
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from chdiv.tucker import (BoolCircuit, TuckerLabeling,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
-from conftest import MUTATIONS, gate_rig, mutate, random_dnf_labeling
+from conftest import (MUTATIONS, forward_place_reference, gate_rig, mutate,
+                      random_dnf_labeling)
 
 
 F = Fraction
@@ -408,6 +410,79 @@ def test_balance_report_compares_no_fractions(compiled_1d, monkeypatch):
     assert blocks > 900 and sum(counts.values()) <= 1, counts
 
 
+# every Fraction operator: arithmetic, negation, abs and comparisons
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                "__rfloordiv__", "__mod__", "__neg__", "__abs__", "__eq__",
+                "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@pytest.mark.parametrize("fixture", ["compiled_1d", "compiled_2d"])
+def test_forward_place_does_no_fraction_arithmetic(request, fixture,
+                                                   monkeypatch):
+    # the placement runs on ints in units of 1/T; what is left is the
+    # |x_i| <= 1 check and const_sign = -1's negation, a few operations
+    # per coordinate whatever the gate count (the Fraction rule made
+    # tens of thousands at N = 1)
+    comp = request.getfixturevalue(fixture)
+    N = comp.layout.N
+    counts = collections.Counter()
+    for name in FRACTION_OPS:
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    for const_sign in (1, -1):
+        forward_place(comp, [F(-1, 32)] * N, const_sign)
+    monkeypatch.undo()
+    assert len(comp.gates) > 400
+    assert sum(counts.values()) <= 2 * 3 * N, counts
+
+
+@pytest.mark.parametrize("const_sign", [0, 2, -2, None])
+def test_const_sign_must_be_plus_or_minus_one(compiled_1d, const_sign):
+    # 0 and 2 used to give the +1 placement
+    with pytest.raises(ValueError, match=r"const_sign must be \+-1"):
+        forward_place(compiled_1d, [F(0)], const_sign)
+    with pytest.raises(ValueError, match=r"const_sign must be \+-1"):
+        simulate_phases(compiled_1d.labeling, [F(0)], 1, const_sign,
+                        compiled_1d.params)
+
+
+@functools.cache
+def demo_compile(N, eps):
+    return compile_tucker(demo_labeling(N), eps)
+
+
+# eps with odd factors in the denominator, all allowed at N = 1; N = 2
+# reuses one compile at the last
+PLACEMENT_EPS = (F(1, 2 ** 14), F(1, 2 ** 16), F(1, 3 * 2 ** 15),
+                 F(1, 35 * 2 ** 16))
+# x_i over large coprime denominators, and exactly -1, 0 and 1; at
+# 2^20 the coordinate cut's half needs T's factor 2 beyond every
+# gate-record denominator
+COORDS = st.one_of(
+    st.sampled_from([F(-1), F(0), F(1)]),
+    st.sampled_from([3, 7, 2 ** 20, 10 ** 6 + 3, 10 ** 9 + 7,
+                     2 ** 61 - 1]).flatmap(
+        lambda d: st.integers(-d, d).map(lambda k: F(k, d))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_property_integer_placement_matches_the_fraction_rule(data):
+    # one draw in four at N = 2, where one reference placement costs
+    # about 0.2 s
+    N = data.draw(st.sampled_from((1, 1, 1, 2)))
+    eps = data.draw(st.sampled_from(PLACEMENT_EPS)) if N == 1 \
+        else PLACEMENT_EPS[-1]
+    comp = demo_compile(N, eps)
+    x = [data.draw(COORDS) for _ in range(N)]
+    const_sign = data.draw(st.sampled_from((1, -1)))
+    assert forward_place(comp, x, const_sign) == \
+        forward_place_reference(comp, x, const_sign)
+
+
 def test_find_solution_1d(compiled_1d):
     comp = compiled_1d
     inst = comp.instance
@@ -437,23 +512,44 @@ def test_find_solution_reports_exhaustion(compiled_1d):
     assert "3 points scanned" in str(e)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_dnf_labeling_end_to_end(seed):
-    # compile, solve, verify and decode a random labeling of [8]^1 that
-    # pays for its OR gates; the start is the first complementary
-    # adjacent pair's shared cell boundary minus 1/32
-    lab = random_dnf_labeling(random.Random(seed), 1)
+def complementary_start(lab):
+    """The start point next to lab's first complementary adjacent pair
+    (u, w), lexicographic in u and then in w - u in {-1, 0, 1}^N: on a
+    coordinate where u and w differ, their shared cell boundary minus
+    1/32; elsewhere the centre of u's cell (cell r is [r/4 - 5/4, r/4 -
+    1])."""
+    cells = list(itertools.product(range(1, 9), repeat=lab.N))
+    label = {x: lab.evaluate(x) for x in cells}
+    for u in cells:
+        for d in itertools.product((-1, 0, 1), repeat=lab.N):
+            w = tuple(a + b for a, b in zip(u, d))
+            if w in label and label[w] == -label[u]:
+                return tuple(F(min(a, c), 4) - 1 - F(1, 32) if a != c
+                             else F(2 * a - 1, 8) - 1
+                             for a, c in zip(u, w))
+    raise AssertionError("no complementary adjacent pair")
+
+
+@pytest.mark.parametrize("N, seed", [pytest.param(1, s, id=str(s))
+                                     for s in range(30)]
+                         + [pytest.param(2, 0, id="N2-0")])
+def test_random_dnf_labeling_end_to_end(N, seed):
+    # compile, solve, verify and decode a random labeling of [8]^N that
+    # pays for its OR gates, from the start next to its first
+    # complementary pair; at N = 2 seed 0 that pair is (1, 1)/(1, 2)
+    lab = random_dnf_labeling(random.Random(seed), N)
     assert lab.check_antisymmetric() is None
     comp = compile_tucker(lab)
     assert audit_two_block_uniform(comp.instance)
-    u = next(r for r in range(1, 8)
-             if lab.evaluate((r,)) == -lab.evaluate((r + 1,)))
-    _, sol = find_solution(comp, (F(u, 4) - 1 - F(1, 32),), radius=4)
+    start = complementary_start(lab)
+    if (N, seed) == (2, 0):
+        assert start == (F(-7, 8), F(-25, 32))
+    _, sol = find_solution(comp, start, radius=4 if N == 1 else 3)
     assert len(sol.cuts) <= comp.instance.cut_budget
     assert verify(comp.instance, sol, comp.params.eps).satisfied
     a, b = decode_solution(comp, sol)
     assert lab.evaluate(a) == -lab.evaluate(b)
-    assert abs(a[0] - b[0]) <= 1
+    assert max(abs(ai - bi) for ai, bi in zip(a, b)) <= 1
 
 
 def test_decode_failure_far_from_the_boundary(compiled_1d):
