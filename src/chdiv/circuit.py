@@ -22,7 +22,7 @@ new one and no rewrite renames wires itself.
 
 import functools
 
-from .core import rat, rat_str
+from .core import rat
 
 
 class Circuit:
@@ -83,16 +83,6 @@ class Circuit:
                 raise ValueError("bad circuit line %d: %r"
                                  % (lineno, raw)) from None
         return cls(inputs, gates, outputs)
-
-    def format(self):
-        lines = ["%s %s" % (self.IN, w) for w in self.inputs]
-        for op, args, out in self.gates:
-            n_rat = self.OPS[op][0]
-            lines.append(" ".join([op] + [rat_str(r) for r in args[:n_rat]]
-                                  + [str(w) for w in args[n_rat:]]
-                                  + ["->", str(out)]))
-        lines += ["%s %s" % (self.OUT, w) for w in self.outputs]
-        return "\n".join(lines) + "\n"
 
     def run(self, values, ops):
         """Interpret the circuit: values for the inputs in order, and

@@ -19,7 +19,8 @@ from .core import (rat, rat_str, instance_to_obj, instance_from_obj,
                    disjoint_copies)
 
 # `gen` size caps (lo, hi) per option, far above any desk-scale use.
-# They bound what the random kinds and copies write.
+# They bound what the random kinds and copies write; the agents that
+# copies makes, (c + 1) n, are capped by "n" too.
 GEN_CAPS = {"n": (0, 10_000), "d": (1, 64), "grid": (1, 10 ** 6),
             "c": (0, 1_000)}
 # the Tucker dimension N of compile-tucker and decode-tucker (the demo
@@ -223,7 +224,9 @@ def cmd_compile_tucker(args):
            "eps": rat_str(compiled.params.eps),
            "simulators": compiled.layout.p,
            "region_length": compiled.layout.q,
-           "mul_chain_length": compiled.params.kmul}, args)
+           "mul_chain_length": compiled.params.kmul,
+           "two_block_uniform":
+               tucker.audit_two_block_uniform(compiled.instance)}, args)
     return 0
 
 
@@ -295,6 +298,11 @@ def cmd_gen(args):
         if args.infile is None:
             raise ValueError("--kind copies requires --in")
         base = instance_from_obj(_load_json(args.infile))
+        n, cap = (args.c + 1) * base.n, GEN_CAPS["n"][1]
+        if n > cap:
+            raise ValueError("--c %d: %d copies of %d agents are %d "
+                             "agents, over the cap of %d"
+                             % (args.c, args.c + 1, base.n, n, cap))
         inst = disjoint_copies(base, args.c)
     _write_json(instance_to_obj(inst), args.out)
     _emit({"agents": inst.n, "k": inst.k,

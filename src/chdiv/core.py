@@ -31,6 +31,11 @@ KLABELS = [chr(ord("A") + i) for i in range(26)]
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
+# The largest grid resolution m of grid_points, which builds m + 1
+# Fractions (about 0.1 s and 11 MB at this cap); the oracle's --grid and
+# dp's m, given or derived from eps, reach it.
+MAX_GRID = 10 ** 5
+
 
 def rat(x):
     """Coerce ints, strings and Fractions to Fraction.
@@ -260,21 +265,6 @@ class Solution:
             raise ValueError("need |cuts|+1 labels, got %d for %d cuts"
                              % (len(self.labels), len(self.cuts)))
 
-    def swap_labels(self):
-        """k=2 sign flip."""
-        table = {PLUS: MINUS, MINUS: PLUS}
-        return Solution(self.cuts, [table[l] for l in self.labels])
-
-    def merged(self):
-        """Drop cuts between equal-labeled segments (and zero-length dups)."""
-        cuts, labels = [], [self.labels[0]]
-        for c, lab in zip(self.cuts, self.labels[1:]):
-            if lab == labels[-1]:
-                continue
-            cuts.append(c)
-            labels.append(lab)
-        return Solution(cuts, labels)
-
     def __eq__(self, other):
         return (isinstance(other, Solution) and self.cuts == other.cuts
                 and self.labels == other.labels)
@@ -376,9 +366,13 @@ def balance(v, s, domain_right=None):
 
 
 def grid_points(inst, m):
-    """The m-grid i * L / m, i = 0..m, on the domain [0, L]."""
+    """The m-grid i * L / m, i = 0..m, on the domain [0, L]; an m
+    outside 1..MAX_GRID is a ValueError, raised before any point is
+    built."""
     if m < 1:
         raise ValueError("grid resolution must be >= 1")
+    if m > MAX_GRID:
+        raise ValueError("grid resolution m = %d exceeds %d" % (m, MAX_GRID))
     p, q = inst.domain_right.numerator, inst.domain_right.denominator * m
     return [Fraction(i * p, q) for i in range(m + 1)]
 
@@ -403,13 +397,10 @@ def verify(inst, s, eps):
     return BalanceReport(masses, eps)
 
 
-def encoded_value(s, left, domain_right=None):
+def encoded_value(s, left):
     """Signed Lebesgue content of the unit interval [left, left+1]:
     length labeled '+' minus length labeled '-'."""
     left = rat(left)
-    if domain_right is not None and (left < 0
-                                     or left + 1 > rat(domain_right)):
-        raise ValueError("interval outside domain")
     return _signed_mass(Valuation([Block(left, left + 1, 1)]), s)
 
 

@@ -2,12 +2,14 @@
 
 Cuts are restricted to the grid Q_m = {0, L/m, ..., (m-1)L/m} on the
 domain [0, L]; segment labels alternate so that the final segment is
-"+" (the (-1)^t sign in the recursion).  The state is (leftover balance
-targets for the agents whose block covers the last cut, last cut
-position, cuts remaining).  Every target is a signed sum of agent
-masses of grid segments, so the table is finite without rounding, and
-the search is exact: it finds a grid solution with at most cut_budget
-cuts iff one exists.
+"+" (the (-1)^t sign in the recursion).  A table entry is keyed by
+(q, zi, t): q the leftover balance targets, zi the grid index of the
+last cut and t the cuts left.  q has one entry per active agent, an
+agent whose block covers the last cut, so it has at most d entries,
+with d the largest overlap of InstanceStats.  Every target is a signed
+sum of agent masses of grid segments, so the table is finite without
+rounding, and the search is exact: it finds a grid solution with at
+most cut_budget cuts iff one exists.
 """
 
 from fractions import Fraction

@@ -5,8 +5,7 @@ from functools import partial
 import itertools
 from math import comb, lcm
 
-from .core import (Solution, BalanceReport, alternating_labels,
-                   check_solution, grid_points, label_masses, verify, rat)
+from .core import Solution, alternating_labels, grid_points, verify, rat
 
 
 WORK_LIMIT = 10 ** 8
@@ -135,29 +134,3 @@ def _scan_first(table, t, first):
         else:
             return lead + rest
     return None
-
-
-def enumerate_gate_cuts(inst, agent_index, fixed_cuts, labels,
-                        free_interval, eps, m):
-    """All grid positions in free_interval for one extra cut such that
-    agent agent_index is eps-satisfied, holding the other cuts fixed.
-    Only that agent's label masses are computed at each position.
-
-    fixed_cuts must avoid the open free_interval; labels is the full
-    segment labeling with the free cut present (len(fixed_cuts) + 2
-    entries), which stays fixed while the free cut sweeps the interval.
-    Returns a list of (position, Solution) pairs.
-    """
-    eps = rat(eps)
-    v = inst.agents[agent_index]
-    lo, hi = rat(free_interval[0]), rat(free_interval[1])
-    step = (hi - lo) / m
-    out = []
-    for i in range(m + 1):
-        x = lo + i * step
-        s = Solution(sorted(list(fixed_cuts) + [x]), labels)
-        check_solution(inst, s)
-        masses = label_masses(v, s.frame, s.labels, inst.labels())
-        if BalanceReport([masses], eps).satisfied:
-            out.append((x, s))
-    return out

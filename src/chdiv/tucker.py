@@ -52,11 +52,6 @@ def point_bits(r):
             +1 if c % 2 else -1)
 
 
-def bits_to_coord(bits):
-    c = sum((1 << (2 - i)) for i, b in enumerate(bits) if b > 0)
-    return c + 1
-
-
 class TuckerLabeling:
     """A labeling of [8]^N (or [7]^N) by {+-1..+-N}, computed by a
     BoolCircuit taking 3 bits per coordinate and emitting the 2N-bit
@@ -441,46 +436,10 @@ def compile_tucker(lab, eps=None):
 
 
 # ---------------------------------------------------------------------------
-# reference phase semantics
-
-
-class PhaseResult:
-    def __init__(self, point, failed, outputs):
-        self.point = point        # displaced point, truncated
-        self.failed = failed      # bit extraction unreliable
-        self.outputs = outputs    # per-axis values in {-1, 0, +1}
-
-
-def simulate_phases(lab, x, j, const_sign, params):
-    """Error-free semantics of one simulator: displace by j*alpha, read
-    the cell bits, evaluate the labeling, emit the per-axis census.
-    For const_sign = -1 the whole computation is the negation of the
-    run on -x (gate equivariance)."""
-    if const_sign not in (1, -1):
-        raise ValueError("const_sign must be +-1")
-    xx = [rat(v) if const_sign > 0 else -rat(v) for v in x]
-    z = [truncate(v + j * params.alpha) for v in xx]
-    failed = any(dist_to_B(zi) < 8 * params.g for zi in z)
-    if failed:
-        return PhaseResult(z, True, [Fraction(0)] * lab.N)
-    point = tuple(cell_of(zi) for zi in z)
-    label = lab.evaluate(point)
-    outs = []
-    for i in range(1, lab.N + 1):
-        v = Fraction(0)
-        if label == i:
-            v = Fraction(1)
-        elif label == -i:
-            v = Fraction(-1)
-        outs.append(const_sign * v)
-    return PhaseResult(z, False, outs)
-
-
-# ---------------------------------------------------------------------------
 # forward placement
 
 
-def forward_place(compiled, x, const_sign=1):
+def forward_place(compiled, x):
     """Deterministic witness: encode x in the coordinate cells, then
     give every gate agent the unique cut in its output block [l, r] that
     balances it exactly.  With s the signed length of the input block
@@ -492,8 +451,9 @@ def forward_place(compiled, x, const_sign=1):
     Requires |x_i| <= 1.  Each coordinate cell holds exactly one cut; at
     x_i = +-1 that cut sits on an edge of the cell, so the whole cell
     carries one label and reads +-1, and the gate agents are still
-    exactly balanced.  const_sign = -1 places -x and swaps the labels,
-    so every constant cell reads -1; any other value is a ValueError.
+    exactly balanced.  Every constant cell reads +1; the placement of
+    -x with its labels swapped is the mirrored witness, in which every
+    constant cell reads -1 and x is still encoded.
 
     The placement runs on ints in units of 1/T, with T twice the lcm of
     the denominators of every gate-record endpoint and of the x_i, and
@@ -505,11 +465,6 @@ def forward_place(compiled, x, const_sign=1):
     - so t = (l + r - L s) / 2 is an int, and with S = T / 2 the
       coordinate cut i T + S + lab0 x_i S is an int too, since x_i's
       denominator divides S."""
-    if const_sign not in (1, -1):
-        raise ValueError("const_sign must be +-1")
-    if const_sign == -1:
-        sol = forward_place(compiled, [-rat(v) for v in x], 1)
-        return sol.swap_labels()
     N = compiled.layout.N
     if len(x) != N:
         raise ValueError("point has wrong dimension")

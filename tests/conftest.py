@@ -9,8 +9,10 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from chdiv.circuit import GateBuilder
-from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                        alternating_labels, balance, label_masses, verify)
+from chdiv.core import (Instance, Valuation, Block, Solution, BalanceReport,
+                        PLUS, MINUS, alternating_labels, balance,
+                        check_solution, encoded_value, label_masses, rat,
+                        rat_str, verify)
 from chdiv.gen import random_single_block_instance, random_dblock_instance
 from chdiv import greedy, tucker
 
@@ -24,6 +26,71 @@ LIN_TEXT = ("IN x1\nIN x2\nMUL 1/2 x1 -> a\nCONST 1/4 -> c\nADD a c -> s\n"
 
 def alternating_solution(cuts):
     return Solution(cuts, alternating_labels(len(cuts) + 1))
+
+
+def swap_labels(sol):
+    """The k = 2 sign flip of sol."""
+    table = {PLUS: MINUS, MINUS: PLUS}
+    return Solution(sol.cuts, [table[l] for l in sol.labels])
+
+
+def merged(sol):
+    """sol without the cuts between equal-labeled segments (and
+    zero-length duplicates)."""
+    cuts, labels = [], [sol.labels[0]]
+    for c, lab in zip(sol.cuts, sol.labels[1:]):
+        if lab == labels[-1]:
+            continue
+        cuts.append(c)
+        labels.append(lab)
+    return Solution(cuts, labels)
+
+
+def encoded_value_in_domain(sol, left, domain_right):
+    """core.encoded_value of the unit interval [left, left + 1], which
+    must lie in [0, domain_right]."""
+    left = rat(left)
+    if left < 0 or left + 1 > rat(domain_right):
+        raise ValueError("interval outside domain")
+    return encoded_value(sol, left)
+
+
+def format_circuit(circ):
+    """circ as the text that type(circ).parse reads back."""
+    lines = ["%s %s" % (circ.IN, w) for w in circ.inputs]
+    for op, args, out in circ.gates:
+        n_rat = circ.OPS[op][0]
+        lines.append(" ".join([op] + [rat_str(r) for r in args[:n_rat]]
+                              + [str(w) for w in args[n_rat:]]
+                              + ["->", str(out)]))
+    lines += ["%s %s" % (circ.OUT, w) for w in circ.outputs]
+    return "\n".join(lines) + "\n"
+
+
+def enumerate_gate_cuts(inst, agent_index, fixed_cuts, labels,
+                        free_interval, eps, m):
+    """All grid positions in free_interval for one extra cut such that
+    agent agent_index is eps-satisfied, holding the other cuts fixed.
+    Only that agent's label masses are computed at each position.
+
+    fixed_cuts must avoid the open free_interval; labels is the full
+    segment labeling with the free cut present (len(fixed_cuts) + 2
+    entries), which stays fixed while the free cut sweeps the interval.
+    Returns a list of (position, Solution) pairs.
+    """
+    eps = rat(eps)
+    v = inst.agents[agent_index]
+    lo, hi = rat(free_interval[0]), rat(free_interval[1])
+    step = (hi - lo) / m
+    out = []
+    for i in range(m + 1):
+        x = lo + i * step
+        s = Solution(sorted(list(fixed_cuts) + [x]), labels)
+        check_solution(inst, s)
+        masses = label_masses(v, s.frame, s.labels, inst.labels())
+        if BalanceReport([masses], eps).satisfied:
+            out.append((x, s))
+    return out
 
 
 def gate_rig(eps, builder, n_coords, n_consts):
@@ -42,9 +109,17 @@ def gate_rig(eps, builder, n_coords, n_consts):
     return outs, tucker.CompiledCH(inst, layout, None, None, asm.gates)
 
 
+def forward_place_mirrored(compiled, x):
+    """The mirrored Tucker witness: the forward placement of -x with its
+    labels swapped, so every constant cell reads -1 and x is still
+    encoded."""
+    return swap_labels(tucker.forward_place(compiled, [-v for v in x]))
+
+
 def forward_place_reference(compiled, x, const_sign=1):
     """tucker.forward_place's rule in Fraction arithmetic, the reference
-    that the integer placement is compared against: each gate's cut is
+    that the integer placement (const_sign = 1) and the mirrored one
+    (const_sign = -1) are compared against: each gate's cut is
     t = (l + r - L s) / 2, with s the input block's signed length under
     the cuts placed so far, summed cell by cell."""
     x = [Fraction(v) * const_sign for v in x]

@@ -15,10 +15,11 @@ from fractions import Fraction
 import pytest
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                        balance, verify, encoded_value, truncate)
+                        balance, verify, truncate)
 from chdiv import dp, greedy, lp, oracle, tucker, fixp
 from conftest import (random_single_block_instance, random_dblock_instance,
-                      check_greedy_invariants, gate_rig)
+                      check_greedy_invariants, encoded_value_in_domain,
+                      enumerate_gate_cuts, gate_rig, swap_labels)
 
 
 F = Fraction
@@ -179,11 +180,12 @@ def _certified_outputs(comp, sol, agent_index, reader_left, eps_tol):
     fixed = [c for i, c in enumerate(sol.cuts) if i != inside[0]]
     a = min(32, int((t_star - left) / STEP))
     b = min(32, int((right - t_star) / STEP))
-    hits = oracle.enumerate_gate_cuts(
+    hits = enumerate_gate_cuts(
         comp.instance, agent_index, fixed, sol.labels,
         (t_star - a * STEP, t_star + b * STEP), eps_tol, a + b)
     assert hits, "no satisfying cut position near the placed one"
-    return [encoded_value(s, reader_left, comp.instance.domain_right)
+    return [encoded_value_in_domain(s, reader_left,
+                                    comp.instance.domain_right)
             for _, s in hits]
 
 
@@ -366,15 +368,16 @@ def test_refinement_recovers_exactness_after_perturbation():
 def test_label_swap_negates_everything_in_the_corpus():
     assert len(CORPUS) >= 100
     for inst, sol in CORPUS:
-        swapped = sol.swap_labels()
+        swapped = swap_labels(sol)
         for v in inst.agents:
             assert balance(v, swapped, inst.domain_right) == \
                 -balance(v, sol, inst.domain_right)
         if inst.domain_right >= 1:
             for left in (0, (inst.domain_right - 1) / 2,
                          inst.domain_right - 1):
-                assert encoded_value(swapped, left, inst.domain_right) == \
-                    -encoded_value(sol, left, inst.domain_right)
+                assert encoded_value_in_domain(
+                    swapped, left, inst.domain_right) == \
+                    -encoded_value_in_domain(sol, left, inst.domain_right)
         rep = verify(inst, sol, 0)
         rsw = verify(inst, swapped, 0)
         assert rep.per_agent_discrepancy == rsw.per_agent_discrepancy

@@ -3,6 +3,9 @@ import ast
 import inspect
 import json
 import os
+import random
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -17,6 +20,7 @@ from chdiv.core import (instance_from_obj, instance_to_obj, load_instance,
                         verify)
 import chdiv
 from chdiv import cli, fixp, oracle, tucker
+from conftest import format_circuit, random_dnf_labeling
 
 
 F = Fraction
@@ -477,6 +481,46 @@ def test_huge_exponent_is_exit_1(tmp_path, capsys):
     assert code == 1 and "exceeds" in err
 
 
+def _cap_address_space():
+    # 256 MiB: refusing these inputs takes about 20 MB of address space,
+    # and building 10^12 grid points would take about 10^14 bytes
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 28, 2 ** 28))
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--eps", "1/4", "--grid", "1000000000000", "--max-cuts", "1"),
+    ("solve", "--algo", "dp", "--eps", "1/4", "--grid", "1000000000000"),
+    ("solve", "--algo", "dp", "--eps", "1/1000000000000"),
+], ids=["oracle-grid", "dp-grid", "dp-eps"])
+def test_a_grid_over_the_cap_is_exit_1(tmp_path, capsys, argv):
+    # the grid is refused before any point is built; the child process
+    # runs with a capped address space, so a missing cap shows as a
+    # MemoryError rather than as a host out of memory
+    inst = gen_instance(tmp_path, capsys)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chdiv.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "chdiv", *argv, "--in",
+                           str(inst)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    m = re.search(r"grid resolution m = (\d+) exceeds 100000", proc.stderr)
+    assert m and int(m.group(1)) >= 10 ** 12, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_copies_over_the_agent_cap_is_exit_1(tmp_path, capsys):
+    # gen caps the agents copies makes, (c + 1) n, at GEN_CAPS["n"]
+    base = gen_instance(tmp_path, capsys, n="10")
+    code, out, _ = run(capsys, "gen", "--kind", "copies", "--in", str(base),
+                       "--c", "999", "--json")
+    assert code == 0 and json.loads(out)["agents"] == 10_000
+    code, out, err = run(capsys, "gen", "--kind", "copies", "--in",
+                         str(base), "--c", "1000")
+    assert code == 1 and out == ""
+    assert ("1001 copies of 10 agents are 10010 agents, over the cap of "
+            "10000") in err
+
+
 @pytest.mark.parametrize("module", ["chdiv", "chdiv.cli"])
 def test_python_m_runs_without_warnings(module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(chdiv.__file__)))
@@ -525,8 +569,18 @@ def test_tucker_compile_and_decode(tmp_path, capsys):
     assert code == 0
     meta = json.loads(out)
     assert meta["simulators"] == 4 and meta["eps"] == eps
+    assert meta["two_block_uniform"] is True
     compiled = tucker.compile_tucker(tucker.demo_labeling(1), F(eps))
     assert meta["agents"] == compiled.instance.n
+    # the paper's two-block-uniform shape is checked on every compile:
+    # the demo labeling at N = 2 and a random DNF labeling at N = 1
+    circp = tmp_path / "dnf.txt"
+    circp.write_text(format_circuit(
+        random_dnf_labeling(random.Random(0), 1).circuit))
+    for argv in (["--n", "2"], ["--n", "1", "--circuit", str(circp)]):
+        code, out, _ = run(capsys, "compile-tucker", *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["two_block_uniform"] is True
     sol = tucker.forward_place(compiled, [F(-1, 32)])
     solp = tmp_path / "sol.json"
     solp.write_text(json.dumps(solution_to_obj(sol)))

@@ -4,18 +4,21 @@ import io
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chdiv import core
 from chdiv.core import (Block, Valuation, Instance, Solution, PLUS, MINUS,
                         balance, verify, label_masses, encoded_value, truncate,
-                        disjoint_copies, rat, rat_str,
+                        disjoint_copies, grid_points, rat, rat_str, MAX_GRID,
                         instance_to_obj, instance_from_obj, solution_to_obj,
                         solution_from_obj, dump_instance, load_instance,
                         dump_solution, load_solution)
-from conftest import random_single_block_instance, alternating_solution
+from conftest import (random_single_block_instance, alternating_solution,
+                      encoded_value_in_domain, merged, swap_labels)
 
 
 F = Fraction
@@ -223,7 +226,24 @@ def test_encoded_value_basic():
 
 def test_encoded_value_domain_check():
     with pytest.raises(ValueError):
-        encoded_value(Solution([], [PLUS]), F(1, 2), 1)
+        encoded_value_in_domain(Solution([], [PLUS]), F(1, 2), 1)
+
+
+def test_grid_points_refuses_a_grid_over_the_cap(monkeypatch):
+    inst = unit(Valuation([Block(0, 1, 1)]))
+    assert MAX_GRID == 10 ** 5
+    points = grid_points(inst, MAX_GRID)      # about 0.1 s
+    assert len(points) == MAX_GRID + 1 and points[-1] == 1
+    # the cap is checked before the first point is built, so a grid of
+    # 10^12 points fails at once instead of filling the memory
+
+    def built(*args):
+        raise AssertionError("built a grid point")
+
+    monkeypatch.setattr(core, "Fraction", built)
+    for m in (MAX_GRID + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="m = %d exceeds 100000" % m):
+            grid_points(inst, m)
 
 
 def test_disjoint_copies():
@@ -327,7 +347,7 @@ def test_property_mass_conservation(v, s):
 @settings(max_examples=120, deadline=None)
 @given(valuations(), binary_solutions())
 def test_property_label_swap_negates_balance_and_encoding(v, s):
-    sw = s.swap_labels()
+    sw = swap_labels(s)
     assert balance(v, sw) == -balance(v, s)
     assert encoded_value(sw, 0) == -encoded_value(s, 0)
 
@@ -357,7 +377,7 @@ def test_property_rescale_preserves_reports(v, s):
 @settings(max_examples=80, deadline=None)
 @given(valuations(), binary_solutions())
 def test_property_merging_equal_neighbors_is_invisible(v, s):
-    m = s.merged()
+    m = merged(s)
     assert len(m.cuts) <= len(s.cuts)
     rep1 = verify(unit(v), s, 0)
     rep2 = verify(unit(v), m, 0)
@@ -491,6 +511,24 @@ def test_package_has_no_floating_point():
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, float)):
             hits.append("%s:%d" % (name, node.lineno))
+    assert not hits, hits
+
+
+def test_package_imports_only_the_standard_library():
+    """chdiv is stdlib-only: every absolute import under src/chdiv names
+    a standard-library module (relative imports are the package's own)."""
+    modules, hits = 0, []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        modules += len(names)
+        hits += ["%s:%d %s" % (name, node.lineno, m) for m in names
+                 if m.split(".")[0] not in sys.stdlib_module_names]
+    assert modules > 10
     assert not hits, hits
 
 

@@ -172,6 +172,21 @@ def test_dp_uses_the_whole_domain():
     assert dp_solve(inst, F(1, 100), m=4).solution.cuts == (F(3, 2),)
 
 
+@pytest.mark.parametrize("n, cuts, states", [(4, 3, 120), (8, 6, 623)])
+def test_dp_search_counts_on_the_chain_probe(n, cuts, states):
+    # block i on [i/16, (i+2)/16], height 8: at most d = 2 blocks overlap
+    # and eps = 1/4 gives m = 2 M L / eps = 64.  The cut and table-entry
+    # counts do not depend on the host; a dp on another number frame
+    # must reproduce them
+    inst = Instance([Valuation([Block(F(i, 16), F(i + 2, 16), 8)])
+                     for i in range(n)])
+    res = dp_solve(inst, F(1, 4))
+    assert (res.m, res.d) == (64, 2)
+    assert res.feasible and len(res.solution.cuts) == cuts
+    assert res.states_visited == states
+    assert verify(inst, res.solution, F(1, 4)).satisfied
+
+
 def test_dp_knows_every_balance_is_within_one():
     # eps >= 1 accepts any partition, even with no cut for an agent
     # whose block starts right of 0

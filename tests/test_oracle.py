@@ -5,9 +5,8 @@ import pytest
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value)
-from chdiv.oracle import (GridSearchConfig, brute_force, WorkLimitExceeded,
-                          enumerate_gate_cuts)
-from conftest import random_single_block_instance
+from chdiv.oracle import GridSearchConfig, brute_force, WorkLimitExceeded
+from conftest import enumerate_gate_cuts, random_single_block_instance
 
 
 F = Fraction

@@ -20,24 +20,28 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # perfbench; every entry must still be defined and still lack a caller
 KEPT = {
     "round_instance": "the paper's rounding lemma, checked by an "
-                      "acceptance test",
-    "snake_embed": "the [7]^N -> [8]^N step of the Tucker reduction",
-    "snake_preimage": "maps a solution back through snake_embed",
-    "bits_to_coord": "inverse of point_bits; tests check the pair",
-    "simulate_phases": "error-free simulator semantics that tests "
-                       "compare the compiled gates against",
-    "find_solution": "lattice search for a Tucker solution; tests use it",
-    "audit_two_block_uniform": "checks the paper's two-block-uniform "
-                               "shape; tests run it on compiled instances",
-    "enumerate_gate_cuts": "grid enumeration of one gate's satisfying "
-                           "cuts; the gate sweeps in tests use it",
-    "Solution.merged": "merges equal adjacent labels; tests compare "
-                       "against it",
-    "Circuit.format": "inverse of Circuit.parse, checked by round trips",
-    "to_truncated": "the linear-FIXP to truncated circuit step; a CLI "
-                    "caller needs a new circuit keyword",
-    "LinFixpCircuit": "input class of to_truncated",
-    "eval_linfixp": "evaluator of LinFixpCircuit",
+                      "acceptance test; its caller would be a dp CLI path "
+                      "that rounds the instance first (ROADMAP item \"The "
+                      "library holds only what a program path runs\")",
+    "snake_embed": "the [7]^N -> [8]^N step of the Tucker reduction; its "
+                   "caller would be a compile-tucker input on [7]^N "
+                   "(ROADMAP item \"The library holds only what a program "
+                   "path runs\")",
+    "snake_preimage": "maps a solution back through snake_embed; its "
+                      "caller would be the decode-tucker side of that "
+                      "[7]^N input",
+    "find_solution": "lattice search for a Tucker solution; its caller "
+                     "would be a CLI solve path for compiled Tucker "
+                     "instances (ROADMAP item \"The Tucker reduction "
+                     "solved from the CLI\")",
+    "to_truncated": "the linear-FIXP to truncated circuit step; its caller "
+                    "would be a circuit keyword for the linear form that "
+                    "compile-fixp reads (ROADMAP item \"The 1/3-division "
+                    "reduction as the paper states it\")",
+    "LinFixpCircuit": "input class of to_truncated, read by the same "
+                      "circuit keyword",
+    "eval_linfixp": "evaluator of LinFixpCircuit, for decode-fixp on the "
+                    "same circuit keyword",
 }
 
 # module -> names imported but not used there, and why

@@ -12,15 +12,16 @@ from chdiv.circuit import GateBuilder
 from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value, truncate, balance)
 from chdiv.tucker import (BoolCircuit, TuckerLabeling,
-                          decode_label, point_bits, bits_to_coord,
+                          decode_label, point_bits,
                           demo_labeling, snake_embed, snake_preimage,
                           ReductionParams, dist_to_B, cell_of, Assembler,
-                          compile_tucker, simulate_phases, forward_place,
+                          compile_tucker, forward_place,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
                           find_solution, NoSolutionFound)
-from conftest import (MUTATIONS, forward_place_reference, gate_rig, mutate,
-                      random_dnf_labeling)
+from conftest import (MUTATIONS, encoded_value_in_domain,
+                      forward_place_mirrored, forward_place_reference,
+                      gate_rig, mutate, random_dnf_labeling)
 
 
 F = Fraction
@@ -31,10 +32,9 @@ EPS = F(1, 2 ** 16)
 
 
 def test_point_bits_round_trip():
-    for r in range(1, 9):
-        bits = point_bits(r)
-        assert all(b in (1, -1) for b in bits)
-        assert bits_to_coord(bits) == r
+    # cell r - 1 in binary, most significant bit first, -1 for 0
+    assert [point_bits(r) for r in range(1, 9)] == list(
+        itertools.product((-1, 1), repeat=3))
 
 
 def test_demo_labeling_semantics_and_antisymmetry():
@@ -160,7 +160,7 @@ def test_arithmetic_gates_forward_exact():
     for xv in [F(0), F(1, 3), F(-1, 2), F(7, 8), F(1), F(-1)]:
         sol = forward_place(comp, [xv])
         assert verify(inst, sol, 0).satisfied
-        val = lambda w: encoded_value(sol, w, inst.domain_right)
+        val = lambda w: encoded_value_in_domain(sol, w, inst.domain_right)
         assert val(0) == xv
         assert val(1) == 1
         assert val(outs["neg"]) == -clamp(xv, 2 * EPS)
@@ -176,10 +176,10 @@ def test_arithmetic_gates_forward_exact():
             got = val(outs["mul%d" % k])
             assert abs(got - truncate(k * xv)) <= bound, (k, xv, got)
         # swapped constant sign mirrors the whole run
-        sw = forward_place(comp, [xv], const_sign=-1)
+        sw = forward_place_mirrored(comp, [xv])
         assert verify(inst, sw, 0).satisfied
-        assert encoded_value(sw, 0, inst.domain_right) == xv
-        assert encoded_value(sw, 1, inst.domain_right) == -1
+        assert encoded_value_in_domain(sw, 0, inst.domain_right) == xv
+        assert encoded_value_in_domain(sw, 1, inst.domain_right) == -1
 
 
 def test_boolean_gates_exact_on_perfect_bits():
@@ -192,7 +192,7 @@ def test_boolean_gates_exact_on_perfect_bits():
     for b1, b2 in itertools.product((1, -1), repeat=2):
         sol = forward_place(comp, [b1, b2])
         assert verify(inst, sol, 0).satisfied
-        val = lambda w: encoded_value(sol, w, inst.domain_right)
+        val = lambda w: encoded_value_in_domain(sol, w, inst.domain_right)
         assert val(outs["not"]) == -b1
         assert val(outs["and"]) == min(b1, b2)
         assert val(outs["or"]) == max(b1, b2)
@@ -214,31 +214,6 @@ def test_volume_gate_rejects_bad_delta():
         asm.volume(EPS, 0)        # below 2 eps
     with pytest.raises(ValueError):
         asm.volume(2, 0)          # above 1
-
-
-# --- phase semantics --------------------------------------------------------
-
-
-def test_simulate_phases_demo():
-    lab = demo_labeling(2)
-    params = ReductionParams(2, EPS)
-    x = (F(-1, 32), F(0))
-    for j in range(1, params.p + 1):
-        res = simulate_phases(lab, x, j, 1, params)
-        z1 = x[0] + j * params.alpha
-        if j == 8:
-            # displaced first coordinate lands exactly on a cell border
-            assert res.failed
-            assert res.outputs == [F(0), F(0)]
-        else:
-            assert not res.failed
-            assert res.outputs[0] == (1 if z1 < 0 else -1)
-            assert res.outputs[1] == 0
-        # a flipped constant negates the run on the negated point
-        neg = simulate_phases(lab, x, j, -1, params)
-        ref = simulate_phases(lab, [-v for v in x], j, 1, params)
-        assert neg.failed == ref.failed
-        assert neg.outputs == [-v for v in ref.outputs]
 
 
 # --- compiled pipeline at one axis ------------------------------------------
@@ -287,8 +262,8 @@ def test_gate_agents_are_their_two_block_records(request, fixture, x):
         assert prev_right <= l
         prev_right = r
         assert agent == Valuation([Block(*k) for k in gate])
-    for const_sign in (1, -1):
-        cuts = forward_place(comp, x, const_sign).cuts
+    for place in (forward_place, forward_place_mirrored):
+        cuts = place(comp, x).cuts
         assert len(cuts) == comp.layout.N + len(comp.gates)
         for _, (l, r, _) in comp.gates:
             inside = bisect.bisect_left(cuts, r) - bisect.bisect_right(cuts, l)
@@ -421,7 +396,7 @@ FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 def test_forward_place_does_no_fraction_arithmetic(request, fixture,
                                                    monkeypatch):
     # the placement runs on ints in units of 1/T; what is left is the
-    # |x_i| <= 1 check and const_sign = -1's negation, a few operations
+    # |x_i| <= 1 check and the mirrored placement's negation, a few operations
     # per coordinate whatever the gate count (the Fraction rule made
     # tens of thousands at N = 1)
     comp = request.getfixturevalue(fixture)
@@ -432,21 +407,11 @@ def test_forward_place_does_no_fraction_arithmetic(request, fixture,
             counts[_name] += 1
             return _op(*args)
         monkeypatch.setattr(Fraction, name, counted)
-    for const_sign in (1, -1):
-        forward_place(comp, [F(-1, 32)] * N, const_sign)
+    for place in (forward_place, forward_place_mirrored):
+        place(comp, [F(-1, 32)] * N)
     monkeypatch.undo()
     assert len(comp.gates) > 400
     assert sum(counts.values()) <= 2 * 3 * N, counts
-
-
-@pytest.mark.parametrize("const_sign", [0, 2, -2, None])
-def test_const_sign_must_be_plus_or_minus_one(compiled_1d, const_sign):
-    # 0 and 2 used to give the +1 placement
-    with pytest.raises(ValueError, match=r"const_sign must be \+-1"):
-        forward_place(compiled_1d, [F(0)], const_sign)
-    with pytest.raises(ValueError, match=r"const_sign must be \+-1"):
-        simulate_phases(compiled_1d.labeling, [F(0)], 1, const_sign,
-                        compiled_1d.params)
 
 
 @functools.cache
@@ -479,8 +444,8 @@ def test_property_integer_placement_matches_the_fraction_rule(data):
     comp = demo_compile(N, eps)
     x = [data.draw(COORDS) for _ in range(N)]
     const_sign = data.draw(st.sampled_from((1, -1)))
-    assert forward_place(comp, x, const_sign) == \
-        forward_place_reference(comp, x, const_sign)
+    place = forward_place if const_sign == 1 else forward_place_mirrored
+    assert place(comp, x) == forward_place_reference(comp, x, const_sign)
 
 
 def test_find_solution_1d(compiled_1d):
