@@ -36,6 +36,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 # dp's m, given or derived from eps, reach it.
 MAX_GRID = 10 ** 5
 
+# The work caps of the searches that can blow up; past its cap a search
+# stops with WorkLimitExceeded, exit 1 in the CLI.  WORK_LIMIT bounds
+# the oracle's cut tuples, a few int steps per agent each.
+# DP_WORK_LIMIT bounds dp's candidate cuts, a few Fraction operations
+# per agent each, 20-50 us on a 2-core host (CPython 3.11), so a search
+# stops within about 5 s; the largest charge in the tests and the bench
+# is under 30,000.
+WORK_LIMIT = 10 ** 8
+DP_WORK_LIMIT = 10 ** 5
+
+
+class WorkLimitExceeded(ValueError):
+    pass
+
 
 def rat(x):
     """Coerce ints, strings and Fractions to Fraction.
@@ -436,12 +450,88 @@ def instance_to_obj(inst):
     }
 
 
-def instance_from_obj(obj):
+def _is_rational(v):
+    """True for an int or a string that rat parses, False for any other
+    type; a string rat refuses raises rat's error."""
+    if type(v) not in (int, str):
+        return False
+    rat(v)
+    return True
+
+
+# The JSON shapes the loaders read: a dict maps each key to the shape
+# of its value, a one-item list is a list of that shape, and a string
+# names a leaf test in _LEAVES.
+_LEAVES = {"an integer": lambda v: type(v) is int,
+           "an integer or null": lambda v: type(v) is int or v is None,
+           "a rational": _is_rational,
+           "a string": lambda v: type(v) is str}
+_INSTANCE_SHAPE = {
+    "k": "an integer", "cut_budget": "an integer or null",
+    "domain_right": "a rational",
+    "agents": [{"blocks": [{"left": "a rational", "right": "a rational",
+                            "height": "a rational"}]}]}
+_SOLUTION_SHAPE = {"cuts": ["a rational"], "labels": ["a string"]}
+
+
+def _misfit(value, shape, path):
+    """A message naming the first field of value that does not fit
+    shape, or None."""
+    if isinstance(shape, dict):
+        kind, fits = "an object", type(value) is dict
+    elif isinstance(shape, list):
+        kind, fits = "a list", type(value) is list
+    else:
+        try:
+            kind, fits = shape, _LEAVES[shape](value)
+        except (ValueError, ZeroDivisionError) as e:
+            kind, fits = "%s (%s)" % (shape, e), False
+    if not fits:
+        got = {dict: "an object", list: "a list"}.get(type(value))
+        return "%s: %s is not %s" % (path or "top level",
+                                     got or "%.40r" % (value,), kind)
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            field = "%s.%s" % (path, key) if path else key
+            if key not in value:
+                return "%s: missing" % field
+            bad = _misfit(value[key], sub, field)
+            if bad:
+                return bad
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            bad = _misfit(item, shape[0], "%s[%d]" % (path, i))
+            if bad:
+                return bad
+    return None
+
+
+def _load(what, obj, shape, build):
+    """build(obj), or, when it fails on a field of obj that does not
+    fit shape, a ValueError naming that field.  The shape walk runs
+    only after a failure."""
+    try:
+        return build(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        bad = _misfit(obj, shape, "")
+        if bad is None:
+            raise
+        raise ValueError("malformed %s: %s" % (what, bad)) from e
+
+
+def _build_instance(obj):
+    k, budget = obj["k"], obj["cut_budget"]
+    if type(k) is not int or not (type(budget) is int or budget is None):
+        raise TypeError("k and cut_budget must be integers")
     agents = [Valuation([Block(b["left"], b["right"], b["height"])
                          for b in a["blocks"]])
               for a in obj["agents"]]
-    return Instance(agents, k=obj["k"], cut_budget=obj["cut_budget"],
+    return Instance(agents, k=k, cut_budget=budget,
                     domain_right=obj["domain_right"])
+
+
+def instance_from_obj(obj):
+    return _load("instance", obj, _INSTANCE_SHAPE, _build_instance)
 
 
 def solution_to_obj(s):
@@ -449,7 +539,8 @@ def solution_to_obj(s):
 
 
 def solution_from_obj(obj):
-    return Solution(obj["cuts"], obj["labels"])
+    return _load("solution", obj, _SOLUTION_SHAPE,
+                 lambda o: Solution(o["cuts"], o["labels"]))
 
 
 # dump_* write compact JSON through json.dumps, which uses the C encoder

@@ -10,6 +10,10 @@ with d the largest overlap of InstanceStats.  Every target is a signed
 sum of agent masses of grid segments, so the table is finite without
 rounding, and the search is exact: it finds a grid solution with at
 most cut_budget cuts iff one exists.
+
+Each new entry with cuts left is charged its candidate count, the grid
+points right of its last cut; past core.DP_WORK_LIMIT the search stops
+with WorkLimitExceeded.
 """
 
 from fractions import Fraction
@@ -18,7 +22,8 @@ import math
 # verify is not called here; it stays importable as chdiv.dp.verify,
 # one of the sites perfbench/layers.py wraps
 from .core import (Instance, Valuation, Block, Solution, alternating_labels,
-                   rat, grid_points, verify)
+                   rat, grid_points, verify, DP_WORK_LIMIT,
+                   WorkLimitExceeded)
 
 
 class InstanceStats:
@@ -96,8 +101,10 @@ class DPResult:
 def dp_solve(inst, eps, m=None):
     """Search for an eps-solution with cuts on Q_m and alternating
     labels.  m defaults to ceil(2 M L / eps), L = domain_right; an m
-    below 1 is a ValueError.  Returns a DPResult; a None solution means
-    no grid-restricted solution with at most cut_budget cuts exists."""
+    below 1 is a ValueError, and a search charged more than
+    DP_WORK_LIMIT candidate cuts is a WorkLimitExceeded.  Returns a
+    DPResult; a None solution means no grid-restricted solution with at
+    most cut_budget cuts exists."""
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -128,11 +135,19 @@ def dp_solve(inst, eps, m=None):
 
     budget = min(inst.cut_budget, m - 1)
     memo = {}
+    work = 0
 
     def rec(q, zi, t):
+        nonlocal work
         key = (q, zi, t)
         if key in memo:
             return memo[key]
+        if t:
+            work += m - zi - 1
+            if work > DP_WORK_LIMIT:
+                raise WorkLimitExceeded(
+                    "dp search too large: over %d candidate cuts"
+                    % DP_WORK_LIMIT)
         z = grid[zi]
         act = active(z)
         if t == 0:

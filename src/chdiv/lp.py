@@ -8,11 +8,16 @@ approximate solution to an exact one with frozen combinatorics.
 from bisect import bisect_right
 from fractions import Fraction
 import itertools
+from math import comb
 
 # verify is not called here; it stays importable as chdiv.lp.verify,
 # one of the sites perfbench/layers.py wraps
-from .core import Solution, PLUS, MINUS, alternating_labels, verify
+from .core import (Solution, PLUS, MINUS, alternating_labels, verify,
+                   WorkLimitExceeded)
 from .simplex import LinearProgram, OPTIMAL
+
+# the most cell sets solve_with_budget tries, one LP each
+MAX_CELL_SETS = 5000
 
 
 def breakpoints(inst):
@@ -52,7 +57,9 @@ def lp_feasible(inst, grid, cells):
 
 def solve_with_budget(inst, ell):
     """Exact consensus-halving with at most 2n - ell cuts, or None if no
-    such solution exists.  Enumerates cell subsets lexicographically."""
+    such solution exists.  Enumerates cell subsets lexicographically;
+    more than MAX_CELL_SETS of them is a WorkLimitExceeded, raised
+    before the first LP."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     grid = breakpoints(inst)
@@ -62,6 +69,11 @@ def solve_with_budget(inst, ell):
         return None
     if m <= budget:
         return midpoint_solution(inst)
+    count = comb(m, budget)
+    if count > MAX_CELL_SETS:
+        raise WorkLimitExceeded("%d cell sets of %d cuts in %d cells, over "
+                                "the cap of %d" % (count, budget, m,
+                                                   MAX_CELL_SETS))
     for cells in itertools.combinations(range(m), budget):
         pos = lp_feasible(inst, grid, cells)
         if pos is not None:

@@ -5,14 +5,8 @@ from functools import partial
 import itertools
 from math import comb, lcm
 
-from .core import Solution, alternating_labels, grid_points, verify, rat
-
-
-WORK_LIMIT = 10 ** 8
-
-
-class WorkLimitExceeded(Exception):
-    pass
+from .core import (Solution, alternating_labels, grid_points, verify, rat,
+                   WORK_LIMIT, WorkLimitExceeded)
 
 
 class GridSearchConfig:

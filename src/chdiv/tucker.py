@@ -53,14 +53,13 @@ def point_bits(r):
 
 
 class TuckerLabeling:
-    """A labeling of [8]^N (or [7]^N) by {+-1..+-N}, computed by a
-    BoolCircuit taking 3 bits per coordinate and emitting the 2N-bit
-    y^a/y^b encoding: label +i has y_i^a = y_i^b = +1 and y_l^a = +1,
-    y_l^b = -1 for l != i; label -i is the global negation."""
+    """A labeling of [8]^N by {+-1..+-N}, computed by a BoolCircuit
+    taking 3 bits per coordinate and emitting the 2N-bit y^a/y^b
+    encoding: label +i has y_i^a = y_i^b = +1 and y_l^a = +1, y_l^b = -1
+    for l != i; label -i is the global negation."""
 
-    def __init__(self, N, circuit, side=8):
+    def __init__(self, N, circuit):
         self.N = N
-        self.side = side
         self.circuit = circuit
         if len(circuit.inputs) != 3 * N:
             raise ValueError("circuit needs 3 bits per coordinate")
@@ -71,8 +70,8 @@ class TuckerLabeling:
         if len(point) != self.N:
             raise ValueError("point has wrong dimension")
         for r in point:
-            if not 1 <= r <= self.side:
-                raise ValueError("coordinate %r outside [%d]" % (r, self.side))
+            if not 1 <= r <= 8:
+                raise ValueError("coordinate %r outside [8]" % (r,))
         bits = []
         for r in point:
             bits.extend(point_bits(r))
@@ -81,8 +80,8 @@ class TuckerLabeling:
     def check_antisymmetric(self):
         """Check lambda(9-x) = -lambda(x) on every boundary point;
         returns the first point that breaks it, or None."""
-        for x in _boundary_points(self.N, self.side):
-            xbar = tuple(self.side + 1 - r for r in x)
+        for x in _boundary_points(self.N):
+            xbar = tuple(9 - r for r in x)
             if self.evaluate(xbar) != -self.evaluate(x):
                 return x
         return None
@@ -102,44 +101,10 @@ def decode_label(ybits):
     return s * (hits[0] + 1)
 
 
-def _boundary_points(N, side):
-    for x in itertools.product(range(1, side + 1), repeat=N):
-        if any(r == 1 or r == side for r in x):
+def _boundary_points(N):
+    for x in itertools.product(range(1, 9), repeat=N):
+        if any(r == 1 or r == 8 for r in x):
             yield x
-
-
-def snake_embed(lab7):
-    """Duplicate the central grid hyperplanes: turns a labeling on [7]^N
-    into one on [8]^N via r -> r-1 if r >= 5 else r, preserving
-    antipodal anti-symmetry and mapping solutions back by the same
-    operator.  The new circuit maps the input bits of each coordinate,
-    then copies lab7's circuit onto the mapped bits."""
-    if lab7.side != 7:
-        raise ValueError("expected a labeling on [7]^N")
-    N = lab7.N
-    b = GateBuilder(itertools.count().__next__)
-    ins = [b.new_wire() for _ in range(3 * N)]
-
-    def xor(a, c):
-        return b.gate("AND", b.gate("OR", a, c),
-                      b.gate("NOT", b.gate("AND", a, c)))
-
-    mapped = []
-    for i in range(N):
-        c2, c1, c0 = ins[3 * i], ins[3 * i + 1], ins[3 * i + 2]
-        # chat = c - 1 if c >= 4 else c, on 3-bit cell indices
-        d2 = b.gate("AND", c2, b.gate("OR", c1, c0))
-        d1 = b.gate("OR", b.gate("AND", b.gate("NOT", c2), c1),
-                    b.gate("AND", c2, b.gate("NOT", xor(c1, c0))))
-        d0 = xor(c2, c0)
-        mapped.extend([d2, d1, d0])
-    outs = lab7.circuit.run(mapped, b.copying(BoolCircuit.OPS))
-    return TuckerLabeling(N, BoolCircuit(ins, b.gates, outs), side=8)
-
-
-def snake_preimage(point8):
-    """Map a solution point of the embedded labeling back to [7]^N."""
-    return tuple(r - 1 if r >= 5 else r for r in point8)
 
 
 def demo_labeling(N):
@@ -379,8 +344,6 @@ def compile_tucker(lab, eps=None):
     anti-symmetric on the boundary is a ValueError naming a violating
     point: the decode guarantee rests on that symmetry."""
     N = lab.N
-    if lab.side != 8:
-        raise ValueError("labeling must live on [8]^N (snake_embed first)")
     bad = lab.check_antisymmetric()
     if bad is not None:
         raise ValueError("labeling is not antipodally anti-symmetric: "
@@ -398,16 +361,14 @@ def compile_tucker(lab, eps=None):
         cj = const_cells[j - 1]
         bits = []
         for i in range(N):
-            ja = asm.const(j * alpha, cj)
-            xh = asm.add(coord[i], ja)
-            b1 = asm.mul_int(xh, kmul)
-            mh = asm.const(Fraction(-1, 2), b1)    # reference input b1
-            xp = asm.add(xh, mh)
-            b2 = asm.mul_int(xp, kmul)
-            mq = asm.const(Fraction(-1, 4), b2)    # reference input b2
-            xpp = asm.add(xp, mq)
-            b3 = asm.mul_int(xpp, kmul)
-            bits.extend([b1, b2, b3])
+            # the bits are mul_int(., kmul) of x_i + j alpha, then of
+            # that - 1/2, then - 1/4 more; each constant reads the
+            # previous bit's wire, the first the constant cell
+            x, ref = coord[i], cj
+            for zeta in (j * alpha, Fraction(-1, 2), Fraction(-1, 4)):
+                x = asm.add(x, asm.const(zeta, ref))
+                ref = asm.mul_int(x, kmul)
+                bits.append(ref)
         ys = asm.emit_circuit(lab.circuit, bits, cj)
         for i in range(N):
             t = asm.add(ys[2 * i], ys[2 * i + 1])
@@ -553,9 +514,33 @@ class NoSolutionFound(Exception):
                [str(v) for v in best_point]))
 
 
-def find_solution(compiled, start, radius):
-    """Scan the lattice points start + g d (g = 16 eps, d integral,
-    ||d||_inf <= radius, every |x_i| <= 1) in rings of increasing
+# the largest ring ||d||_inf that find_solution scans
+RADIUS = 4
+
+
+def complementary_start(lab):
+    """The start point next to lab's first complementary adjacent pair
+    (u, w), lexicographic in u and then in w - u in {-1, 0, 1}^N: on a
+    coordinate where u and w differ, their shared cell boundary minus
+    1/32; elsewhere the centre of u's cell (cell r is [r/4 - 5/4, r/4 -
+    1]).  Tucker's lemma guarantees the pair for an antipodally
+    anti-symmetric labeling, and the point lies inside (-1, 1)^N."""
+    cells = list(itertools.product(range(1, 9), repeat=lab.N))
+    label = {x: lab.evaluate(x) for x in cells}
+    for u in cells:
+        for d in itertools.product((-1, 0, 1), repeat=lab.N):
+            w = tuple(a + b for a, b in zip(u, d))
+            if w in label and label[w] == -label[u]:
+                return tuple(Fraction(min(a, c), 4) - 1 - Fraction(1, 32)
+                             if a != c else Fraction(2 * a - 1, 8) - 1
+                             for a, c in zip(u, w))
+    raise AssertionError("no complementary adjacent pair")
+
+
+def find_solution(compiled):
+    """Scan the lattice points start + g d (start =
+    complementary_start(compiled.labeling), g = 16 eps, d integral,
+    ||d||_inf <= RADIUS, every |x_i| <= 1) in rings of increasing
     ||d||_inf, lexicographically within a ring, and return (x, sol) for
     the first x whose forward placement also balances the feedback
     agents: every exact census |sum over F_i| <= p eps.  Gate agents are
@@ -564,21 +549,18 @@ def find_solution(compiled, start, radius):
     points scanned and the smallest census seen, when no point
     qualifies; a non-solution is never returned.
 
-    Terminates: the candidate set has at most (2 radius + 1)^N points
-    and each costs one forward_place plus N census sums.  Completeness
+    Terminates: the candidate set has at most (2 RADIUS + 1)^N points
+    and each costs one forward_place plus N census sums.  The start
+    lies inside (-1, 1)^N, so ring 0 is always scanned.  Completeness
     is not claimed for general labelings: only forward placements at
     lattice points are tried, and a labeling whose solutions all lie
     elsewhere makes the scan raise."""
     N = compiled.layout.N
-    start = [rat(v) for v in start]
-    if len(start) != N:
-        raise ValueError("start has wrong dimension")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    start = complementary_start(compiled.labeling)
     g = compiled.params.g
     bound = compiled.layout.p * compiled.params.eps
     scanned, best = 0, None
-    for r in range(radius + 1):
+    for r in range(RADIUS + 1):
         for d in itertools.product(range(-r, r + 1), repeat=N):
             if max(map(abs, d)) != r:
                 continue
@@ -593,8 +575,6 @@ def find_solution(compiled, start, radius):
                 return tuple(x), sol
             if best is None or worst < best[0]:
                 best = (worst, x, census)
-    if best is None:
-        raise NoSolutionFound(0, start, [])
     raise NoSolutionFound(scanned, best[1], best[2])
 
 

@@ -241,9 +241,7 @@ def tucker_pipeline():
     lab = tucker.demo_labeling(2)
     t0 = time.monotonic()
     comp = tucker.compile_tucker(lab, EPS)
-    # the first candidate, (-1/32, 0), is not a solution (see the
-    # feedback test)
-    _, sol = tucker.find_solution(comp, (F(-1, 32), F(0)), radius=4)
+    _, sol = tucker.find_solution(comp)
     gates_exact, worst, feedback = tucker.balance_report(comp, sol)
     u, w = tucker.decode_solution(comp, sol)
     elapsed = time.monotonic() - t0

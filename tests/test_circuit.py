@@ -8,7 +8,7 @@ import pytest
 
 from chdiv.fixp import (TruncCircuit, LinFixpCircuit, compile_fixp,
                         eval_linfixp, to_truncated)
-from chdiv.tucker import BoolCircuit, TuckerLabeling, demo_labeling, snake_embed
+from chdiv.tucker import BoolCircuit, demo_labeling
 from conftest import LIN_TEXT, format_circuit
 
 
@@ -17,8 +17,6 @@ F = Fraction
 ROUND_TRIP = {
     "tucker-demo-1": lambda: demo_labeling(1).circuit,
     "tucker-demo-2": lambda: demo_labeling(2).circuit,
-    "tucker-snake": lambda: snake_embed(
-        TuckerLabeling(2, demo_labeling(2).circuit, side=7)).circuit,
     "trunc-consts": lambda: TruncCircuit.parse(
         "IN x1\nIN x2\nCONST 1/3 -> a\nCONST -1/2 -> b\nOUT a\nOUT b\n"),
     "trunc-mixed": lambda: TruncCircuit.parse(

@@ -264,6 +264,80 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert e.value.code == 1
 
 
+def _malformed(obj, path, value):
+    """A copy of obj with the field at path (keys and indices) set to
+    value, or removed when value is _MISSING."""
+    root = node = json.loads(json.dumps(obj))
+    *head, last = path
+    for key in head:
+        node = node[key]
+    if value is _MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return root
+
+
+_MISSING = object()
+_HEIGHT = ("agents", 0, "blocks", 0, "height")
+_LEFT = ("agents", 0, "blocks", 0, "left")
+
+
+@pytest.mark.parametrize("command, path, value, field", [
+    ("solve", _HEIGHT, "1/0", "agents[0].blocks[0].height: '1/0' is not "
+     "a rational"),
+    ("solve", _LEFT, 0.5, "agents[0].blocks[0].left: 0.5 is not a rational"),
+    ("solve", ("agents",), 5, "agents: 5 is not a list"),
+    ("solve", (), None, "top level: a list is not an object"),
+    ("solve", ("k",), 2.5, "k: 2.5 is not an integer"),
+    ("solve", ("cut_budget",), 2.9, "cut_budget: 2.9 is not an integer"),
+    ("solve", ("cut_budget",), True, "cut_budget: True is not an integer"),
+    ("solve", ("agents",), _MISSING, "agents: missing"),
+    ("verify", ("cuts", 0), 0.5, "cuts[0]: 0.5 is not a rational"),
+    ("verify", ("cuts", 0), "1/0", "cuts[0]: '1/0' is not a rational"),
+    ("verify", ("cuts",), 5, "cuts: 5 is not a list"),
+    ("verify", (), None, "top level: a list is not an object"),
+    ("verify", ("cuts",), _MISSING, "cuts: missing"),
+], ids=["height-1/0", "float-endpoint", "agents-int", "instance-array",
+        "float-k", "float-budget", "bool-budget", "no-agents", "float-cut",
+        "cut-1/0", "cuts-int", "solution-array", "no-cuts"])
+def test_a_malformed_json_field_is_exit_1(tmp_path, capsys, command, path,
+                                          value, field):
+    # solve reads the malformed instance, verify the malformed solution;
+    # the message names the field, and no exception escapes main
+    inst = gen_instance(tmp_path, capsys, n="2")
+    solp = tmp_path / "sol.json"
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(solp))[0] == 0
+    good = inst if command == "solve" else solp
+    obj = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([obj] if path == ()
+                              else _malformed(obj, path, value)))
+    if command == "solve":
+        code, out, err = run(capsys, "solve", "--in", str(bad))
+        what = "instance"
+    else:
+        code, out, err = run(capsys, "verify", "--in", str(inst),
+                             "--solution", str(bad), "--eps", "1/2")
+        what = "solution"
+    assert code == 1 and out == ""
+    assert err.startswith("%s: malformed %s: %s" % (command, what, field))
+    assert "Traceback" not in err
+
+
+def test_only_main_returns_1():
+    # every refusal is an exception that main turns into exit 1; no
+    # subcommand has a handler of its own
+    tree = ast.parse(inspect.getsource(cli))
+    returns_1 = sorted(
+        f.name for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name != "main"
+        for r in ast.walk(f)
+        if isinstance(r, ast.Return) and isinstance(r.value, ast.Constant)
+        and r.value.value == 1)
+    assert returns_1 == []
+
+
 def test_jobs_type_accepts_one_to_cpu_count():
     cap = os.cpu_count() or 1
     assert _jobs("1") == 1
@@ -497,15 +571,38 @@ def test_a_grid_over_the_cap_is_exit_1(tmp_path, capsys, argv):
     # runs with a capped address space, so a missing cap shows as a
     # MemoryError rather than as a host out of memory
     inst = gen_instance(tmp_path, capsys)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chdiv.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "chdiv", *argv, "--in",
-                           str(inst)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src),
-                          preexec_fn=_cap_address_space, timeout=60)
+    proc = _child([*argv, "--in", str(inst)])
     assert proc.returncode == 1 and proc.stdout == ""
     m = re.search(r"grid resolution m = (\d+) exceeds 100000", proc.stderr)
     assert m and int(m.group(1)) >= 10 ** 12, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _child(argv, timeout=60):
+    """Run `python -m chdiv argv` with the address-space cap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chdiv.__file__)))
+    return subprocess.run([sys.executable, "-m", "chdiv", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_cap_address_space, timeout=timeout)
+
+
+@pytest.mark.parametrize("seed, n, argv, message", [
+    # every state of dp's search tries every later point of a 10^5 grid
+    ("1", "3", ("--algo", "dp", "--eps", "1/4", "--grid", "100000"),
+     "dp search too large: over 100000 candidate cuts"),
+    # C(16, 10) cell sets of 10 cuts in the 16 breakpoint cells, one LP
+    # each
+    ("3", "12", ("--algo", "lp", "--ell", "14"),
+     "8008 cell sets of 10 cuts in 16 cells, over the cap of 5000"),
+], ids=["dp", "lp"])
+def test_a_search_over_its_work_cap_is_exit_1(tmp_path, capsys, seed, n,
+                                              argv, message):
+    # without the caps both ran past a 15 s timeout
+    inst = gen_instance(tmp_path, capsys, seed=seed, n=n)
+    proc = _child(["solve", *argv, "--in", str(inst)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "solve: %s\n" % message
 
 
 def test_copies_over_the_agent_cap_is_exit_1(tmp_path, capsys):

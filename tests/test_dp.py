@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
-                        label_masses, verify)
+                        WorkLimitExceeded, label_masses, verify)
+from chdiv import dp
 from chdiv.dp import InstanceStats, round_instance, dp_solve
 from chdiv.oracle import GridSearchConfig, brute_force
 from chdiv.lp import midpoint_solution
@@ -185,6 +186,20 @@ def test_dp_search_counts_on_the_chain_probe(n, cuts, states):
     assert res.feasible and len(res.solution.cuts) == cuts
     assert res.states_visited == states
     assert verify(inst, res.solution, F(1, 4)).satisfied
+
+
+@pytest.mark.parametrize("n, charge", [(4, 2433), (8, 21423)])
+def test_dp_work_charge_on_the_chain_probe(monkeypatch, n, charge):
+    # each table entry with cuts left is charged the grid points right
+    # of its last cut; the search stops once the sum passes the cap
+    inst = Instance([Valuation([Block(F(i, 16), F(i + 2, 16), 8)])
+                     for i in range(n)])
+    monkeypatch.setattr(dp, "DP_WORK_LIMIT", charge)
+    assert dp_solve(inst, F(1, 4)).feasible
+    monkeypatch.setattr(dp, "DP_WORK_LIMIT", charge - 1)
+    with pytest.raises(WorkLimitExceeded,
+                       match="over %d candidate cuts" % (charge - 1)):
+        dp_solve(inst, F(1, 4))
 
 
 def test_dp_knows_every_balance_is_within_one():

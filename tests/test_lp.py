@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chdiv.core import Instance, Valuation, Block, Solution, PLUS, MINUS, verify
+from chdiv.core import (Instance, Valuation, Block, Solution, PLUS, MINUS,
+                        WorkLimitExceeded, verify)
 from chdiv.lp import (breakpoints, midpoint_solution, lp_feasible,
-                      solve_with_budget, refine_exact, _containing_cell)
-from chdiv import simplex
+                      solve_with_budget, refine_exact, _containing_cell,
+                      MAX_CELL_SETS)
+from chdiv import lp, simplex
 from chdiv.simplex import (LinearProgram, OPTIMAL, INFEASIBLE, UNBOUNDED,
                            solve_eq)
 from conftest import random_single_block_instance, random_dblock_instance
@@ -269,6 +271,27 @@ def test_solve_with_budget_tight_budget():
 def test_solve_with_budget_certifies_impossibility():
     inst = two_agent((0, F(1, 2), 2), (F(1, 2), 1, 2))
     assert solve_with_budget(inst, 3) is None     # budget 1
+
+
+@pytest.mark.parametrize("m, ell, cell_sets", [(14, 21, 3432),
+                                               (16, 22, 8008)])
+def test_solve_with_budget_counts_cell_sets_before_any_lp(monkeypatch, m, ell,
+                                                           cell_sets):
+    # agent i uniform on [i/m, (i + 1)/m]: m breakpoint cells and a budget
+    # of 2m - ell cuts, C(14, 7) cell sets (under the cap, each tried) or
+    # C(16, 10) (over it, refused before the first LP)
+    inst = Instance([Valuation([Block(F(i, m), F(i + 1, m), m)])
+                     for i in range(m)])
+    calls = []
+    monkeypatch.setattr(lp, "lp_feasible", lambda *args: calls.append(args))
+    if cell_sets <= MAX_CELL_SETS:
+        assert solve_with_budget(inst, ell) is None
+        assert len(calls) == cell_sets
+    else:
+        with pytest.raises(WorkLimitExceeded,
+                           match="8008 cell sets of 10 cuts in 16 cells"):
+            solve_with_budget(inst, ell)
+        assert calls == []
 
 
 def test_containing_cell_on_and_off_the_grid():

@@ -21,15 +21,8 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 KEPT = {
     "round_instance": "the paper's rounding lemma, checked by an "
                       "acceptance test; its caller would be a dp CLI path "
-                      "that rounds the instance first (ROADMAP item \"The "
-                      "library holds only what a program path runs\")",
-    "snake_embed": "the [7]^N -> [8]^N step of the Tucker reduction; its "
-                   "caller would be a compile-tucker input on [7]^N "
-                   "(ROADMAP item \"The library holds only what a program "
-                   "path runs\")",
-    "snake_preimage": "maps a solution back through snake_embed; its "
-                      "caller would be the decode-tucker side of that "
-                      "[7]^N input",
+                      "that rounds the instance first (ROADMAP item \"dp "
+                      "at the paper's scale\")",
     "find_solution": "lattice search for a Tucker solution; its caller "
                      "would be a CLI solve path for compiled Tucker "
                      "instances (ROADMAP item \"The Tucker reduction "

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from chdiv.circuit import GateBuilder
 from chdiv.core import (Valuation, Block, Solution, PLUS, MINUS,
                         verify, encoded_value, truncate, balance)
+from chdiv import tucker
 from chdiv.tucker import (BoolCircuit, TuckerLabeling,
-                          decode_label, point_bits,
-                          demo_labeling, snake_embed, snake_preimage,
-                          ReductionParams, dist_to_B, cell_of, Assembler,
+                          decode_label, point_bits, demo_labeling,
+                          complementary_start, ReductionParams, dist_to_B,
+                          cell_of, Assembler,
                           compile_tucker, forward_place,
                           balance_report, audit_two_block_uniform,
                           decode_solution, DecodeFailure,
@@ -54,54 +55,6 @@ def test_decode_label_signed_axis_encoding():
         decode_label([1, 1, -1, 1])      # mixed y^a bits
     with pytest.raises(ValueError):
         decode_label([1, 1, 1, 1])       # ambiguous axis
-
-
-def test_snake_embedding_matches_preimage():
-    # a side-7 labeling that only reads the top bit of the first axis
-    b = GateBuilder(itertools.count().__next__)
-    ins = [b.new_wire() for _ in range(6)]
-    t = b.gate("NOT", ins[0])
-    nt = b.gate("NOT", t)
-    lab7 = TuckerLabeling(2, BoolCircuit(ins, b.gates, [t, t, t, nt]),
-                          side=7)
-    for x in itertools.product(range(1, 8), repeat=2):
-        assert lab7.evaluate(x) == (1 if x[0] <= 4 else -1)
-    lab8 = snake_embed(lab7)
-    assert lab8.side == 8
-    for x in itertools.product(range(1, 9), repeat=2):
-        assert lab8.evaluate(x) == lab7.evaluate(snake_preimage(x))
-
-
-@st.composite
-def side7_labelings(draw):
-    """A random NOT/AND/OR circuit on 3N bits with 2N output bits, at
-    N = 1 or 2, as a labeling of [7]^N (its outputs need not encode a
-    label)."""
-    N = draw(st.integers(1, 2))
-    b = GateBuilder(itertools.count().__next__)
-    ins = [b.new_wire() for _ in range(3 * N)]
-    wires = list(ins)
-    for _ in range(draw(st.integers(0, 10))):
-        op = draw(st.sampled_from(["NOT", "AND", "OR"]))
-        arity = 1 if op == "NOT" else 2
-        wires.append(b.gate(op, *[draw(st.sampled_from(wires))
-                                  for _ in range(arity)]))
-    outs = [draw(st.sampled_from(wires)) for _ in range(2 * N)]
-    return TuckerLabeling(N, BoolCircuit(ins, b.gates, outs), side=7)
-
-
-def _raw_bits(lab, x):
-    return lab.circuit.evaluate([v for r in x for v in point_bits(r)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(side7_labelings())
-def test_property_snake_embed_reads_the_preimage(lab7):
-    # the embedded circuit's raw output bits at x are the inner
-    # circuit's at the preimage cell, at every point of [8]^N
-    lab8 = snake_embed(lab7)
-    for x in itertools.product(range(1, 9), repeat=lab7.N):
-        assert _raw_bits(lab8, x) == _raw_bits(lab7, snake_preimage(x))
 
 
 def test_cell_classification():
@@ -326,7 +279,7 @@ def test_decode_corruption_of_feedback_cells(compiled_1d):
     # feedback-cell boundaries corrupt none
     comp = compiled_1d
     lay = comp.layout
-    _, sol = find_solution(comp, (F(-1, 32),), radius=4)
+    _, sol = find_solution(comp)
 
     def outcome(extra):
         cuts = sorted(sol.cuts + tuple(extra))
@@ -452,9 +405,11 @@ def test_find_solution_1d(compiled_1d):
     comp = compiled_1d
     inst = comp.instance
     p, eps = comp.params.p, comp.params.eps
-    # the start has census -(1 - 2 eps); the next candidate, -1/32 - g,
-    # balances the feedback agent
-    x, sol = find_solution(comp, (F(-1, 32),), radius=4)
+    # the start next to the complementary pair (4,)/(5,) is -1/32, with
+    # census -(1 - 2 eps); the next candidate, -1/32 - g, balances the
+    # feedback agent
+    assert complementary_start(comp.labeling) == (F(-1, 32),)
+    x, sol = find_solution(comp)
     assert x == (F(-1, 32) - comp.params.g,)
     ok, worst, feedback = balance_report(comp, sol)
     assert ok and worst == 0
@@ -465,11 +420,14 @@ def test_find_solution_1d(compiled_1d):
     assert comp.labeling.evaluate(u) == -comp.labeling.evaluate(w)
 
 
-def test_find_solution_reports_exhaustion(compiled_1d):
-    # on [-1, -1 + 2g] every simulator reads cell 1 and outputs
-    # +(1 - 2 eps): census 4 (1 - 2 eps) = 8191/2048 at every candidate
+def test_find_solution_reports_exhaustion(compiled_1d, monkeypatch):
+    # from the start -1 with radius 2, on [-1, -1 + 2g], every simulator
+    # reads cell 1 and outputs +(1 - 2 eps): census 4 (1 - 2 eps) =
+    # 8191/2048 at every candidate
+    monkeypatch.setattr(tucker, "complementary_start", lambda lab: (F(-1),))
+    monkeypatch.setattr(tucker, "RADIUS", 2)
     with pytest.raises(NoSolutionFound) as info:
-        find_solution(compiled_1d, (F(-1),), radius=2)
+        find_solution(compiled_1d)
     e = info.value
     assert e.scanned == 3                  # -1, -1 + g, -1 + 2g
     assert e.best_point == [F(-1)]
@@ -477,31 +435,14 @@ def test_find_solution_reports_exhaustion(compiled_1d):
     assert "3 points scanned" in str(e)
 
 
-def complementary_start(lab):
-    """The start point next to lab's first complementary adjacent pair
-    (u, w), lexicographic in u and then in w - u in {-1, 0, 1}^N: on a
-    coordinate where u and w differ, their shared cell boundary minus
-    1/32; elsewhere the centre of u's cell (cell r is [r/4 - 5/4, r/4 -
-    1])."""
-    cells = list(itertools.product(range(1, 9), repeat=lab.N))
-    label = {x: lab.evaluate(x) for x in cells}
-    for u in cells:
-        for d in itertools.product((-1, 0, 1), repeat=lab.N):
-            w = tuple(a + b for a, b in zip(u, d))
-            if w in label and label[w] == -label[u]:
-                return tuple(F(min(a, c), 4) - 1 - F(1, 32) if a != c
-                             else F(2 * a - 1, 8) - 1
-                             for a, c in zip(u, w))
-    raise AssertionError("no complementary adjacent pair")
-
-
 @pytest.mark.parametrize("N, seed", [pytest.param(1, s, id=str(s))
                                      for s in range(30)]
                          + [pytest.param(2, 0, id="N2-0")])
 def test_random_dnf_labeling_end_to_end(N, seed):
     # compile, solve, verify and decode a random labeling of [8]^N that
-    # pays for its OR gates, from the start next to its first
-    # complementary pair; at N = 2 seed 0 that pair is (1, 1)/(1, 2)
+    # pays for its OR gates; find_solution starts next to its first
+    # complementary pair, at N = 2 seed 0 the pair (1, 1)/(1, 2), and
+    # finds a point within one lattice step g of that start
     lab = random_dnf_labeling(random.Random(seed), N)
     assert lab.check_antisymmetric() is None
     comp = compile_tucker(lab)
@@ -509,7 +450,8 @@ def test_random_dnf_labeling_end_to_end(N, seed):
     start = complementary_start(lab)
     if (N, seed) == (2, 0):
         assert start == (F(-7, 8), F(-25, 32))
-    _, sol = find_solution(comp, start, radius=4 if N == 1 else 3)
+    x, sol = find_solution(comp)
+    assert max(abs(a - b) for a, b in zip(x, start)) <= comp.params.g
     assert len(sol.cuts) <= comp.instance.cut_budget
     assert verify(comp.instance, sol, comp.params.eps).satisfied
     a, b = decode_solution(comp, sol)
@@ -537,7 +479,7 @@ def test_decode_sees_sub_ulp_cuts_in_constant_cells(compiled_1d):
     # cell as exactly +-1 and decode ((4,), (5,)).
     comp = compiled_1d
     N, p = comp.layout.N, comp.layout.p
-    _, sol = find_solution(comp, (F(-1, 32),), radius=4)
+    _, sol = find_solution(comp)
     assert decode_solution(comp, sol)
     extra = [N + j + d for j in range(p)
              for d in (F(1, 2 ** 70), F(1, 2 ** 69))]
